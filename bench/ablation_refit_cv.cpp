@@ -55,7 +55,7 @@ Real correlated_recovery_error(const PathSolver& solver, Real rho, Index k,
       axpy(alpha[static_cast<std::size_t>(j)], g.col(j), f);
   for (Real& v : f) v += 0.05 * rng.normal();
 
-  const SolverPath path = solver.fit_path(g, f, 2 * p);
+  const SolverPath path = solver.fit_path(MaterializedSource(g), f, 2 * p);
   // In-sample residual fraction after 2P steps (both methods see identical
   // data; the residual gap is pure algorithm).
   return path.residual_norms.back() / nrm2(f);
@@ -159,7 +159,8 @@ void ablation_joint_selection() {
   const Index lambda = 30;
   for (circuits::OpAmpMetric metric : circuits::kAllOpAmpMetrics) {
     const std::vector<Real> f = train.metric_values(metric);
-    const SolverPath path = OmpSolver().fit_path(g, f, lambda);
+    const SolverPath path =
+        OmpSolver().fit_path(MaterializedSource(g), f, lambda);
     const Index t = path.num_steps() - 1;
     for (Index j : path.support(t)) union_support.insert(j);
     const SparseModel model = SparseModel::from_dense(

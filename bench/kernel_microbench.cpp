@@ -48,7 +48,8 @@ void BM_OmpFitPath(benchmark::State& state) {
   const Problem prob = make_problem(500, m, 20);
   const OmpSolver solver;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.fit_path(prob.g, prob.f, 40));
+    benchmark::DoNotOptimize(
+        solver.fit_path(MaterializedSource(prob.g), prob.f, 40));
   }
   state.SetComplexityN(m);
 }
@@ -59,7 +60,8 @@ void BM_LarFitPath(benchmark::State& state) {
   const Problem prob = make_problem(500, m, 20);
   const LarSolver solver;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.fit_path(prob.g, prob.f, 40));
+    benchmark::DoNotOptimize(
+        solver.fit_path(MaterializedSource(prob.g), prob.f, 40));
   }
   state.SetComplexityN(m);
 }
@@ -70,7 +72,8 @@ void BM_StarFitPath(benchmark::State& state) {
   const Problem prob = make_problem(500, m, 20);
   const StarSolver solver;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.fit_path(prob.g, prob.f, 40));
+    benchmark::DoNotOptimize(
+        solver.fit_path(MaterializedSource(prob.g), prob.f, 40));
   }
   state.SetComplexityN(m);
 }

@@ -34,7 +34,7 @@ bool recovers(Index k, Index m, Index p, std::uint64_t seed) {
     for (Index r = 0; r < k; ++r)
       f[static_cast<std::size_t>(r)] += c * g(r, s);
   }
-  const SolverPath path = OmpSolver().fit_path(g, f, p);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, p);
   const std::set<Index> found(path.selection_order.begin(),
                               path.selection_order.end());
   for (Index s : support)

@@ -65,34 +65,32 @@ std::vector<Real> BasisDictionary::evaluate_column(Index m,
 
 Matrix BasisDictionary::design_matrix(const Matrix& samples) const {
   RSM_CHECK(samples.cols() == num_variables_);
-  const Index rows = samples.rows();
-  Matrix g(rows, size());
-
-  // Per sample row: precompute g_o(dy_v) for every variable and order once,
-  // then each basis function is a product of table lookups. The table costs
-  // O(N * max_order) per row vs O(M * terms) lookups — essential when M is
-  // ~20k and most indices share factors.
-  std::vector<Real> table(
-      static_cast<std::size_t>(num_variables_ * (max_order_ + 1)));
-  std::vector<Real> orders(static_cast<std::size_t>(max_order_ + 1));
-  for (Index k = 0; k < rows; ++k) {
-    std::span<const Real> sample = samples.row(k);
-    for (Index v = 0; v < num_variables_; ++v) {
-      hermite_normalized_all(max_order_, sample[static_cast<std::size_t>(v)],
-                             orders);
-      std::copy(orders.begin(), orders.end(),
-                table.begin() + v * (max_order_ + 1));
-    }
-    Real* out_row = g.row(k).data();
-    for (Index m = 0; m < size(); ++m) {
-      Real product = 1;
-      for (const IndexTerm& t : indices_[static_cast<std::size_t>(m)].terms())
-        product *= table[static_cast<std::size_t>(t.variable * (max_order_ + 1) +
-                                                   t.order)];
-      out_row[m] = product;
-    }
-  }
+  Matrix g(samples.rows(), size());
+  std::vector<Real> table;
+  for (Index k = 0; k < samples.rows(); ++k)
+    evaluate_row(samples.row(k), table, g.row(k));
   return g;
+}
+
+void BasisDictionary::evaluate_row(std::span<const Real> sample,
+                                   std::vector<Real>& table,
+                                   std::span<Real> out) const {
+  RSM_CHECK(static_cast<Index>(sample.size()) == num_variables_);
+  RSM_CHECK(static_cast<Index>(out.size()) == size());
+  // The table costs O(N * max_order) per row vs O(M * terms) lookups —
+  // essential when M is ~20k and most indices share factors.
+  const auto stride = static_cast<std::size_t>(max_order_ + 1);
+  table.resize(static_cast<std::size_t>(num_variables_) * stride);
+  for (std::size_t v = 0; v < sample.size(); ++v)
+    hermite_normalized_all(max_order_, sample[v],
+                           std::span<Real>(table).subspan(v * stride, stride));
+  for (Index m = 0; m < size(); ++m) {
+    Real product = 1;
+    for (const IndexTerm& t : indices_[static_cast<std::size_t>(m)].terms())
+      product *= table[static_cast<std::size_t>(t.variable) * stride +
+                       static_cast<std::size_t>(t.order)];
+    out[static_cast<std::size_t>(m)] = product;
+  }
 }
 
 void BasisDictionary::save(std::ostream& out) const {
@@ -125,29 +123,6 @@ BasisDictionary BasisDictionary::load(std::istream& in) {
     indices.push_back(MultiIndex(std::move(terms)));
   }
   return {num_variables, std::move(indices)};
-}
-
-std::vector<Real> BasisDictionary::design_row(
-    std::span<const Real> sample) const {
-  RSM_CHECK(static_cast<Index>(sample.size()) == num_variables_);
-  std::vector<Real> table(
-      static_cast<std::size_t>(num_variables_ * (max_order_ + 1)));
-  std::vector<Real> orders(static_cast<std::size_t>(max_order_ + 1));
-  for (Index v = 0; v < num_variables_; ++v) {
-    hermite_normalized_all(max_order_, sample[static_cast<std::size_t>(v)],
-                           orders);
-    std::copy(orders.begin(), orders.end(),
-              table.begin() + v * (max_order_ + 1));
-  }
-  std::vector<Real> row(static_cast<std::size_t>(size()));
-  for (Index m = 0; m < size(); ++m) {
-    Real product = 1;
-    for (const IndexTerm& t : indices_[static_cast<std::size_t>(m)].terms())
-      product *= table[static_cast<std::size_t>(t.variable * (max_order_ + 1) +
-                                                 t.order)];
-    row[static_cast<std::size_t>(m)] = product;
-  }
-  return row;
 }
 
 }  // namespace rsm

@@ -45,12 +45,15 @@ class BasisDictionary {
   [[nodiscard]] std::vector<Real> evaluate_column(Index m,
                                                   const Matrix& samples) const;
 
-  /// Full design matrix G (K x M). Evaluates each 1-D Hermite factor once
-  /// per (sample, variable, order) via a per-row order table.
+  /// Full design matrix G (K x M), one evaluate_row per sample.
   [[nodiscard]] Matrix design_matrix(const Matrix& samples) const;
 
-  /// Row of the design matrix for a single sample (length M).
-  [[nodiscard]] std::vector<Real> design_row(std::span<const Real> sample) const;
+  /// Row of the design matrix for one sample into `out` (length M). Builds
+  /// the per-variable Hermite order table in `table` first (caller-owned
+  /// scratch, resized here), so each 1-D factor is evaluated once per
+  /// (variable, order) and every g_m is a product of table lookups.
+  void evaluate_row(std::span<const Real> sample, std::vector<Real>& table,
+                    std::span<Real> out) const;
 
   /// Highest Hermite order appearing in any index.
   [[nodiscard]] int max_order() const { return max_order_; }

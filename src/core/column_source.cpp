@@ -2,21 +2,29 @@
 
 #include <algorithm>
 
-#include "basis/hermite.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace rsm {
 
+MaterializedSource::MaterializedSource(const Matrix& g,
+                                       std::span<const Index> rows)
+    : g_(&g), rows_(rows) {
+  RSM_CHECK(!rows.empty());
+  for (Index r : rows) RSM_CHECK(r >= 0 && r < g.rows());
+}
+
 void MaterializedSource::correlate(std::span<const Real> x,
                                    std::span<Real> out) const {
-  gemv_transposed(*g_, x, out);
+  gemv_transposed(*g_, x, out, rows_);
 }
 
 void MaterializedSource::column(Index j, std::span<Real> out) const {
-  RSM_CHECK(static_cast<Index>(out.size()) == g_->rows());
-  for (Index r = 0; r < g_->rows(); ++r)
-    out[static_cast<std::size_t>(r)] = (*g_)(r, j);
+  RSM_CHECK(static_cast<Index>(out.size()) == rows());
+  RSM_CHECK(j >= 0 && j < g_->cols());
+  for (Index r = 0; r < rows(); ++r)
+    out[static_cast<std::size_t>(r)] =
+        (*g_)(rows_.empty() ? r : rows_[static_cast<std::size_t>(r)], j);
 }
 
 DictionarySource::DictionarySource(
@@ -28,36 +36,19 @@ DictionarySource::DictionarySource(
 
 void DictionarySource::correlate(std::span<const Real> x,
                                  std::span<Real> out) const {
-  const Index k = rows();
-  const Index m = num_columns();
-  RSM_CHECK(static_cast<Index>(x.size()) == k);
-  RSM_CHECK(static_cast<Index>(out.size()) == m);
-  const int max_order = dictionary_->max_order();
-  const Index n = dictionary_->num_variables();
-
+  RSM_CHECK(static_cast<Index>(x.size()) == rows());
+  RSM_CHECK(static_cast<Index>(out.size()) == num_columns());
+  // Row-at-a-time accumulation, in gemv_transposed's order: evaluate one
+  // design row, add x[r] times it. Memory: one row and its Hermite table,
+  // no K x M block at all.
   std::fill(out.begin(), out.end(), Real{0});
-  // Row-at-a-time accumulation: for each sample row build the per-variable
-  // Hermite table once (O(N * order)), then add x[k] * g_m(sample) into
-  // every slot. Memory: one table, no K x M block at all.
-  std::vector<Real> table(static_cast<std::size_t>(n * (max_order + 1)));
-  std::vector<Real> orders(static_cast<std::size_t>(max_order + 1));
-  for (Index r = 0; r < k; ++r) {
+  std::vector<Real> table;
+  std::vector<Real> row(out.size());
+  for (Index r = 0; r < rows(); ++r) {
     const Real weight = x[static_cast<std::size_t>(r)];
     if (weight == Real{0}) continue;
-    std::span<const Real> sample = samples_->row(r);
-    for (Index v = 0; v < n; ++v) {
-      hermite_normalized_all(max_order, sample[static_cast<std::size_t>(v)],
-                             orders);
-      std::copy(orders.begin(), orders.end(),
-                table.begin() + v * (max_order + 1));
-    }
-    for (Index j = 0; j < m; ++j) {
-      Real product = 1;
-      for (const IndexTerm& t : dictionary_->index(j).terms())
-        product *= table[static_cast<std::size_t>(
-            t.variable * (max_order + 1) + t.order)];
-      out[static_cast<std::size_t>(j)] += weight * product;
-    }
+    dictionary_->evaluate_row(samples_->row(r), table, row);
+    axpy(weight, row, out);
   }
 }
 

@@ -4,8 +4,8 @@
 #include <limits>
 #include <numeric>
 
+#include "core/column_source.hpp"
 #include "core/metrics.hpp"
-#include "linalg/blas.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -22,8 +22,9 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
                                           Index max_lambda) const {
   RSM_TRACE_SPAN("cv.run");
   const Index num_samples = g.rows();
-  const Index num_columns = g.cols();
   RSM_CHECK(static_cast<Index>(f.size()) == num_samples);
+  RSM_CHECK_MSG(max_lambda >= 1, "cross-validation needs max_lambda >= 1, got "
+                                     << max_lambda);
   const int q = options_.num_folds;
   RSM_CHECK_MSG(num_samples >= 2 * q,
                 "too few samples (" << num_samples << ") for " << q
@@ -51,20 +52,14 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
       }
     }
 
-    Matrix g_train(static_cast<Index>(train_rows.size()), num_columns);
+    // The training fold is a view of G's rows; only F is gathered.
+    const MaterializedSource g_train(g, train_rows);
     std::vector<Real> f_train(train_rows.size());
-    for (std::size_t r = 0; r < train_rows.size(); ++r) {
-      std::copy(g.row(train_rows[r]).begin(), g.row(train_rows[r]).end(),
-                g_train.row(static_cast<Index>(r)).begin());
+    for (std::size_t r = 0; r < train_rows.size(); ++r)
       f_train[r] = f[static_cast<std::size_t>(train_rows[r])];
-    }
-    Matrix g_test(static_cast<Index>(test_rows.size()), num_columns);
     std::vector<Real> f_test(test_rows.size());
-    for (std::size_t r = 0; r < test_rows.size(); ++r) {
-      std::copy(g.row(test_rows[r]).begin(), g.row(test_rows[r]).end(),
-                g_test.row(static_cast<Index>(r)).begin());
+    for (std::size_t r = 0; r < test_rows.size(); ++r)
       f_test[r] = f[static_cast<std::size_t>(test_rows[r])];
-    }
 
     // One path fit per fold; evaluate every lambda on the held-out fold. A
     // degenerate fold (rank-collapsed training block, a solver that cannot
@@ -96,6 +91,8 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
     std::vector<Real>& curve =
         result.fold_curves[static_cast<std::size_t>(fold)];
     curve.reserve(static_cast<std::size_t>(path.num_steps()));
+    // Held-out rows of each column the path uses, gathered on first use.
+    std::vector<std::vector<Real>> held_out(static_cast<std::size_t>(g.cols()));
     std::vector<Real> pred(test_rows.size());
     for (Index t = 0; t < path.num_steps(); ++t) {
       const std::vector<Index> sup = path.support(t);
@@ -103,8 +100,11 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
           path.coefficients[static_cast<std::size_t>(t)];
       std::fill(pred.begin(), pred.end(), Real{0});
       for (std::size_t s = 0; s < sup.size(); ++s) {
-        for (std::size_t r = 0; r < test_rows.size(); ++r)
-          pred[r] += coef[s] * g_test(static_cast<Index>(r), sup[s]);
+        std::vector<Real>& column = held_out[static_cast<std::size_t>(sup[s])];
+        if (column.empty())
+          for (Index row : test_rows) column.push_back(g(row, sup[s]));
+        for (std::size_t r = 0; r < column.size(); ++r)
+          pred[r] += coef[s] * column[r];
       }
       curve.push_back(relative_rms_error(pred, f_test));
     }

@@ -45,7 +45,9 @@ class CrossValidator {
   explicit CrossValidator(const Options& options);
 
   /// Runs Q-fold CV of `solver` on (g, f), with paths up to `max_lambda`
-  /// terms, scoring with relative_rms_error on the held-out fold.
+  /// (>= 1) terms, scoring with relative_rms_error on the held-out fold.
+  /// Each training fold is a row view of g (MaterializedSource over the
+  /// fold's rows); held-out scoring reads only the columns a path selects.
   [[nodiscard]] CrossValidationResult run(const PathSolver& solver,
                                           const Matrix& g,
                                           std::span<const Real> f,

@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "linalg/blas.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -44,17 +43,8 @@ class ActiveGramCholesky {
     return true;
   }
 
-  /// Rebuilds from an explicit Gram matrix after a drop.
-  void rebuild(const Matrix& gram) {
-    RSM_CHECK(gram.rows() == gram.cols());
-    p_ = 0;
-    for (Index j = 0; j < gram.rows(); ++j) {
-      std::vector<Real> cross(static_cast<std::size_t>(p_));
-      for (Index i = 0; i < p_; ++i) cross[static_cast<std::size_t>(i)] = gram(j, i);
-      RSM_CHECK_MSG(append(cross, gram(j, j)),
-                    "active set became singular after LASSO drop");
-    }
-  }
+  /// Empties the factor; a LASSO drop re-appends the remaining columns.
+  void clear() { p_ = 0; }
 
   /// Solves (X_A' X_A) v = rhs.
   [[nodiscard]] std::vector<Real> solve(std::span<const Real> rhs) const {
@@ -81,29 +71,50 @@ class ActiveGramCholesky {
 
 }  // namespace
 
-SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
+SolverPath LarSolver::fit_path(const ColumnSource& source,
+                               std::span<const Real> f,
                                Index max_steps) const {
   RSM_TRACE_SPAN("lar.fit");
-  const Index num_samples = g.rows();
-  const Index num_columns = g.cols();
+  const Index num_samples = source.rows();
+  const Index num_columns = source.num_columns();
   RSM_CHECK(static_cast<Index>(f.size()) == num_samples);
   RSM_CHECK(max_steps > 0);
   max_steps = std::min(max_steps, std::min(num_samples - 1, num_columns));
 
-  // Normalize columns to unit 2-norm. Zero columns are excluded outright.
-  Matrix x = g;
-  std::vector<Real> scale(static_cast<std::size_t>(num_columns), Real{0});
+  // LAR runs on X = G diag(1 / ||G_j||), unit-norm columns, without forming
+  // X: one pass over G's columns takes the scales, X'x is G'x scaled per
+  // column, and only the active columns of X are materialized. Zero columns
+  // are excluded outright.
+  const auto k = static_cast<std::size_t>(num_samples);
+  std::vector<Real> inv_scale(static_cast<std::size_t>(num_columns), Real{0});
   std::vector<bool> usable(static_cast<std::size_t>(num_columns), false);
+  std::vector<Real> column(k);
   for (Index j = 0; j < num_columns; ++j) {
-    std::vector<Real> col = x.col(j);
-    const Real norm = nrm2(col);
+    source.column(j, column);
+    const Real norm = nrm2(column);
     if (norm <= Real{1e-300}) continue;
-    scale[static_cast<std::size_t>(j)] = norm;
+    inv_scale[static_cast<std::size_t>(j)] = Real{1} / norm;
     usable[static_cast<std::size_t>(j)] = true;
-    const Real inv = Real{1} / norm;
-    for (Real& v : col) v *= inv;
-    x.set_col(j, col);
   }
+  const auto correlate = [&](std::span<const Real> x, std::span<Real> out) {
+    source.correlate(x, out);
+    for (std::size_t j = 0; j < out.size(); ++j) out[j] *= inv_scale[j];
+  };
+
+  // Normalized active columns, in active order: column i of the K x |A|
+  // block occupies [i * K, (i + 1) * K).
+  std::vector<Real> active_block;
+  const auto active_column = [&](std::size_t i) {
+    return std::span<const Real>(active_block).subspan(i * k, k);
+  };
+  // Dot products of `col` with the first `count` active columns.
+  const auto cross_products = [&](std::span<const Real> col,
+                                  std::size_t count) {
+    std::vector<Real> cross(count);
+    for (std::size_t i = 0; i < count; ++i)
+      cross[i] = dot(active_column(i), col);
+    return cross;
+  };
 
   SolverPath path;
   path.active_sets = {};  // filled per step (drops break prefix structure)
@@ -120,7 +131,7 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
   std::vector<bool> in_active(static_cast<std::size_t>(num_columns), false);
   ActiveGramCholesky chol(std::min(num_samples, max_steps + 1));
 
-  gemv_transposed(x, residual, c);
+  correlate(residual, c);
   const Real c0 = max_abs(c);
   if (c0 <= Real{0}) return path;
 
@@ -131,7 +142,7 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
     check_cooperative_stop("lar.step");
     if (static_cast<Index>(active.size()) >= max_steps && !just_dropped) break;
 
-    gemv_transposed(x, residual, c);
+    correlate(residual, c);
 
     if (!just_dropped) {
       // Admit the most correlated inactive column.
@@ -149,15 +160,14 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
       }
       if (best < 0) break;  // correlations exhausted
 
-      // Cross products with current active columns.
-      std::vector<Real> cross(active.size());
-      const std::vector<Real> new_col = x.col(best);
-      for (std::size_t i = 0; i < active.size(); ++i)
-        cross[i] = dot(x.col(active[i]), new_col);
-      if (!chol.append(cross, Real{1})) {
+      // Cross products of the normalized candidate with the active columns.
+      source.column(best, column);
+      scale(inv_scale[static_cast<std::size_t>(best)], column);
+      if (!chol.append(cross_products(column, active.size()), Real{1})) {
         usable[static_cast<std::size_t>(best)] = false;  // collinear; skip
         continue;
       }
+      active_block.insert(active_block.end(), column.begin(), column.end());
       active.push_back(best);
       in_active[static_cast<std::size_t>(best)] = true;
       signs.push_back(c[static_cast<std::size_t>(best)] >= 0 ? Real{1}
@@ -178,8 +188,8 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
 
     std::fill(u.begin(), u.end(), Real{0});
     for (std::size_t i = 0; i < active.size(); ++i)
-      axpy(d[i], x.col(active[i]), u);
-    gemv_transposed(x, u, a);
+      axpy(d[i], active_column(i), u);
+    correlate(u, a);
 
     // Current common correlation magnitude of the active set.
     Real cmax = 0;
@@ -231,16 +241,15 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
       active.erase(active.begin() + drop);
       signs.erase(signs.begin() + drop);
       beta.erase(beta.begin() + drop);
-      // Rebuild the active Cholesky from the reduced Gram matrix.
-      Matrix gram(static_cast<Index>(active.size()),
-                  static_cast<Index>(active.size()));
-      for (std::size_t i = 0; i < active.size(); ++i)
-        for (std::size_t j = i; j < active.size(); ++j) {
-          const Real val = dot(x.col(active[i]), x.col(active[j]));
-          gram(static_cast<Index>(i), static_cast<Index>(j)) = val;
-          gram(static_cast<Index>(j), static_cast<Index>(i)) = val;
-        }
-      chol.rebuild(gram);
+      const auto first = active_block.begin() + drop * num_samples;
+      active_block.erase(first, first + num_samples);
+      // Rebuild the active Cholesky from the remaining columns.
+      chol.clear();
+      for (std::size_t i = 0; i < active.size(); ++i) {
+        const std::span<const Real> x_i = active_column(i);
+        RSM_CHECK_MSG(chol.append(cross_products(x_i, i), dot(x_i, x_i)),
+                      "active set became singular after LASSO drop");
+      }
       just_dropped = true;
     }
 
@@ -248,7 +257,7 @@ SolverPath LarSolver::fit_path(const Matrix& g, std::span<const Real> f,
     path.active_sets.push_back(active);
     std::vector<Real> denorm(active.size());
     for (std::size_t i = 0; i < active.size(); ++i)
-      denorm[i] = beta[i] / scale[static_cast<std::size_t>(active[i])];
+      denorm[i] = beta[i] * inv_scale[static_cast<std::size_t>(active[i])];
     path.coefficients.push_back(std::move(denorm));
     path.selection_order.push_back(active.empty() ? -1 : active.back());
     path.residual_norms.push_back(nrm2(residual));

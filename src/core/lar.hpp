@@ -9,8 +9,11 @@
 // active set, making the path exactly the LASSO solution path.
 //
 // Implementation notes:
-//  - columns are normalized to unit 2-norm internally; reported
-//    coefficients are de-normalized back to design-matrix scale;
+//  - columns are normalized to unit 2-norm without copying G: one pass
+//    over the columns takes their norms, each correlation scan is scaled
+//    per column, and only the normalized active columns are kept, in one
+//    contiguous K x lambda block; reported coefficients are de-normalized
+//    back to design-matrix scale;
 //  - the active-set Gram matrix keeps an incrementally grown Cholesky
 //    factor (O(p^2) per added column, rebuild on LASSO drop);
 //  - per step the dominant cost is two K x M correlations (c = G'r and
@@ -37,7 +40,8 @@ class LarSolver final : public PathSolver {
   LarSolver() = default;
   explicit LarSolver(const Options& options) : options_(options) {}
 
-  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& source,
+                                    std::span<const Real> f,
                                     Index max_steps) const override;
 
   [[nodiscard]] const char* name() const override { return "LAR"; }

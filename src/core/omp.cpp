@@ -12,11 +12,6 @@
 
 namespace rsm {
 
-SolverPath OmpSolver::fit_path(const Matrix& g, std::span<const Real> f,
-                               Index max_steps) const {
-  return fit_path(MaterializedSource(g), f, max_steps);
-}
-
 SolverPath OmpSolver::fit_path(const ColumnSource& source,
                                std::span<const Real> f,
                                Index max_steps) const {

@@ -85,7 +85,8 @@ BuildReport build_model_from_design(
     }
     // Final fit on all training data at the chosen lambda.
     RSM_TRACE_SPAN("pipeline.final_fit");
-    const SolverPath path = solver->fit_path(design, values, lambda);
+    const SolverPath path =
+        solver->fit_path(MaterializedSource(design), values, lambda);
     RSM_CHECK_MSG(path.num_steps() > 0, "solver returned an empty path");
     const Index t = std::min<Index>(lambda, path.num_steps()) - 1;
     const std::vector<Real> dense =

@@ -9,7 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "core/column_source.hpp"
 #include "util/common.hpp"
 
 namespace rsm {
@@ -48,14 +48,16 @@ struct SolverPath {
                                                      Index num_columns) const;
 };
 
-/// Abstract path-emitting sparse solver over a materialized design matrix.
+/// Abstract path-emitting sparse solver. G arrives as a ColumnSource: an
+/// explicit matrix (MaterializedSource), some of its rows (a CV fold) or a
+/// lazily evaluated dictionary (DictionarySource).
 class PathSolver {
  public:
   virtual ~PathSolver() = default;
 
   /// Fits up to `max_steps` steps of the path for min ||G a - F||_2 with the
-  /// method's sparsity heuristic. F.size() == G.rows().
-  [[nodiscard]] virtual SolverPath fit_path(const Matrix& g,
+  /// method's sparsity heuristic. F.size() == g.rows().
+  [[nodiscard]] virtual SolverPath fit_path(const ColumnSource& g,
                                             std::span<const Real> f,
                                             Index max_steps) const = 0;
 

@@ -14,12 +14,15 @@ void gemv(const Matrix& a, std::span<const Real> x, std::span<Real> y) {
 }
 
 void gemv_transposed(const Matrix& a, std::span<const Real> x,
-                     std::span<Real> y) {
-  RSM_CHECK(static_cast<Index>(x.size()) == a.rows());
+                     std::span<Real> y, std::span<const Index> rows) {
+  const bool all_rows = rows.empty();
+  RSM_CHECK(static_cast<Index>(x.size()) ==
+            (all_rows ? a.rows() : static_cast<Index>(rows.size())));
   RSM_CHECK(static_cast<Index>(y.size()) == a.cols());
+  for (Index r : rows) RSM_CHECK(r >= 0 && r < a.rows());
   std::fill(y.begin(), y.end(), Real{0});
-  for (Index r = 0; r < a.rows(); ++r)
-    axpy(x[static_cast<std::size_t>(r)], a.row(r), y);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    axpy(x[i], a.row(all_rows ? static_cast<Index>(i) : rows[i]), y);
 }
 
 void gemm(const Matrix& a, const Matrix& b, Matrix& c) {

@@ -17,9 +17,12 @@ namespace rsm {
 void gemv(const Matrix& a, std::span<const Real> x, std::span<Real> y);
 
 /// y = A' * x  without materializing the transpose (row-major friendly:
-/// accumulates row r of A scaled by x[r] into y).
+/// accumulates row r of A scaled by x[r] into y). A non-empty `rows` reads A
+/// as the matrix of those rows in list order (x[i] scales row rows[i]), bit
+/// for bit what copying them out first would give: cross-validation folds
+/// read G's training rows in place this way.
 void gemv_transposed(const Matrix& a, std::span<const Real> x,
-                     std::span<Real> y);
+                     std::span<Real> y, std::span<const Index> rows = {});
 
 /// C = A * B (C must be preallocated to a.rows() x b.cols()). Blocked i-k-j
 /// loop order for row-major locality.

@@ -11,10 +11,8 @@
 // Core: sparse response-surface modeling.
 #include "core/bootstrap.hpp"
 #include "core/column_source.hpp"
-#include "core/cosamp.hpp"
 #include "core/cross_validation.hpp"
 #include "core/lar.hpp"
-#include "core/lasso_cd.hpp"
 #include "core/least_squares.hpp"
 #include "core/metrics.hpp"
 #include "core/model.hpp"
@@ -23,7 +21,6 @@
 #include "core/sobol.hpp"
 #include "core/solver_path.hpp"
 #include "core/somp.hpp"
-#include "core/stagewise.hpp"
 #include "core/star.hpp"
 #include "core/synthetic.hpp"
 #include "core/worst_case.hpp"

@@ -44,12 +44,17 @@ TEST(Dictionary, DesignMatrixMatchesPointwiseEvaluation) {
 }
 
 TEST(Dictionary, DesignRowMatchesDesignMatrix) {
+  // Total degree 4: orders up to 4, so the per-row Hermite table holds five
+  // orders per variable. The scratch table starts stale (wrong size, junk
+  // values) and is reused across rows, as the streaming column source does.
   Rng rng(56);
   const BasisDictionary dict = BasisDictionary::total_degree(3, 4);
   const Matrix samples = monte_carlo_normal(4, 3, rng);
   const Matrix g = dict.design_matrix(samples);
+  std::vector<Real> table(2, 1e300);
+  std::vector<Real> row(static_cast<std::size_t>(dict.size()));
   for (Index k = 0; k < 4; ++k) {
-    const std::vector<Real> row = dict.design_row(samples.row(k));
+    dict.evaluate_row(samples.row(k), table, row);
     for (Index m = 0; m < dict.size(); ++m)
       EXPECT_NEAR(row[static_cast<std::size_t>(m)], g(k, m), 1e-13);
   }

@@ -1,8 +1,13 @@
 #include "core/column_source.hpp"
 
+#include <memory>
+#include <numeric>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "core/omp.hpp"
+#include "core/pipeline.hpp"
 #include "linalg/vector_ops.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
@@ -28,6 +33,34 @@ TEST(ColumnSource, MaterializedMatchesMatrix) {
   const std::vector<Real> expected = g.col(3);
   for (std::size_t i = 0; i < col.size(); ++i)
     EXPECT_EQ(col[i], expected[i]);
+
+  // A row subset in shuffled order (a cross-validation fold) reads exactly
+  // what a copied submatrix of those rows holds.
+  std::vector<Index> order(15);
+  std::iota(order.begin(), order.end(), Index{0});
+  rng.shuffle(order);
+  const std::vector<Index> rows(order.begin(), order.begin() + 9);
+  Matrix copied(9, 8);
+  for (Index i = 0; i < 9; ++i)
+    for (Index j = 0; j < 8; ++j)
+      copied(i, j) = g(rows[static_cast<std::size_t>(i)], j);
+  const MaterializedSource view(g, rows);
+  const MaterializedSource copy(copied);
+  ASSERT_EQ(view.rows(), 9);
+  EXPECT_EQ(view.num_columns(), 8);
+
+  const std::vector<Real> y = rng.normal_vector(9);
+  std::vector<Real> corr_view(8), corr_copy(8);
+  view.correlate(y, corr_view);
+  copy.correlate(y, corr_copy);
+  EXPECT_EQ(corr_view, corr_copy);
+
+  std::vector<Real> col_view(9), col_copy(9);
+  for (Index j = 0; j < 8; ++j) {
+    view.column(j, col_view);
+    copy.column(j, col_copy);
+    EXPECT_EQ(col_view, col_copy) << "col " << j;
+  }
 }
 
 TEST(ColumnSource, DictionaryMatchesMaterializedDesign) {
@@ -47,20 +80,23 @@ TEST(ColumnSource, DictionaryMatchesMaterializedDesign) {
   std::vector<Real> corr_dense(static_cast<std::size_t>(dict->size()));
   lazy.correlate(x, corr_lazy);
   dense.correlate(x, corr_dense);
-  for (std::size_t j = 0; j < corr_lazy.size(); ++j)
-    EXPECT_NEAR(corr_lazy[j], corr_dense[j], 1e-10) << "col " << j;
+  // Both scans evaluate rows with BasisDictionary::evaluate_row and add
+  // them in row order, so they agree bit for bit.
+  EXPECT_EQ(corr_lazy, corr_dense);
 
   std::vector<Real> col_lazy(static_cast<std::size_t>(k));
   std::vector<Real> col_dense(static_cast<std::size_t>(k));
   for (Index j : {0L, 5L, dict->size() - 1}) {
     lazy.column(j, col_lazy);
     dense.column(j, col_dense);
-    for (std::size_t i = 0; i < col_lazy.size(); ++i)
-      EXPECT_NEAR(col_lazy[i], col_dense[i], 1e-12);
+    EXPECT_EQ(col_lazy, col_dense) << "col " << j;
   }
 }
 
-TEST(ColumnSource, StreamingOmpMatchesMaterializedOmp) {
+// Every path solver reads G only through correlate and column, and the lazy
+// dictionary gives the same bits as its materialized design matrix, so the
+// streamed path equals the dense one exactly.
+void expect_streamed_path_matches_dense(Method method) {
   Rng rng(903);
   const Index n = 10, k = 60;
   auto dict = std::make_shared<BasisDictionary>(BasisDictionary::quadratic(n));
@@ -68,20 +104,28 @@ TEST(ColumnSource, StreamingOmpMatchesMaterializedOmp) {
   const Matrix g = dict->design_matrix(samples);
   const std::vector<Real> f = rng.normal_vector(k);
 
-  const OmpSolver solver;
-  const SolverPath dense = solver.fit_path(g, f, 10);
+  const std::unique_ptr<PathSolver> solver = make_path_solver(method);
+  const SolverPath dense = solver->fit_path(MaterializedSource(g), f, 10);
   const SolverPath lazy =
-      solver.fit_path(DictionarySource(dict, samples), f, 10);
+      solver->fit_path(DictionarySource(dict, samples), f, 10);
 
-  ASSERT_EQ(dense.num_steps(), lazy.num_steps());
-  for (Index t = 0; t < dense.num_steps(); ++t) {
-    EXPECT_EQ(dense.selection_order[static_cast<std::size_t>(t)],
-              lazy.selection_order[static_cast<std::size_t>(t)]);
-    const auto& cd = dense.coefficients[static_cast<std::size_t>(t)];
-    const auto& cl = lazy.coefficients[static_cast<std::size_t>(t)];
-    for (std::size_t s = 0; s < cd.size(); ++s)
-      EXPECT_NEAR(cd[s], cl[s], 1e-9);
-  }
+  ASSERT_GT(dense.num_steps(), 0);
+  EXPECT_EQ(dense.selection_order, lazy.selection_order);
+  EXPECT_EQ(dense.active_sets, lazy.active_sets);
+  EXPECT_EQ(dense.coefficients, lazy.coefficients);
+  EXPECT_EQ(dense.residual_norms, lazy.residual_norms);
+}
+
+TEST(ColumnSource, StreamingOmpMatchesMaterializedOmp) {
+  expect_streamed_path_matches_dense(Method::kOmp);
+}
+
+TEST(ColumnSource, StreamingLarMatchesMaterializedLar) {
+  expect_streamed_path_matches_dense(Method::kLar);
+}
+
+TEST(ColumnSource, StreamingStarMatchesMaterializedStar) {
+  expect_streamed_path_matches_dense(Method::kStar);
 }
 
 TEST(ColumnSource, HugeDictionaryWithoutMaterialization) {

@@ -1,4 +1,4 @@
-#include "core/cosamp.hpp"
+#include "support/cosamp.hpp"
 
 #include <cmath>
 #include <set>
@@ -54,7 +54,7 @@ TEST(Cosamp, PathResidualsTrendDownWithSparsity) {
   Rng rng(112);
   const Matrix g = monte_carlo_normal(80, 150, rng);
   const std::vector<Real> f = rng.normal_vector(80);
-  const SolverPath path = CosampSolver().fit_path(g, f, 10);
+  const SolverPath path = CosampSolver().fit_path(MaterializedSource(g), f, 10);
   ASSERT_GE(path.num_steps(), 5);
   for (Index t = 1; t < path.num_steps(); ++t)
     EXPECT_LE(path.residual_norms[static_cast<std::size_t>(t)],
@@ -89,7 +89,8 @@ TEST(Cosamp, CanUndoAWrongEarlyPick) {
   for (Real& v : decoy) v += 0.15 * rng.normal();
   g.set_col(0, decoy);
 
-  const SolverPath omp = OmpSolver().fit_path(g, f_clean, 2);
+  const SolverPath omp =
+      OmpSolver().fit_path(MaterializedSource(g), f_clean, 2);
   EXPECT_EQ(omp.selection_order[0], 0);  // OMP falls for the decoy...
   const std::set<Index> omp_sup(omp.selection_order.begin(),
                                 omp.selection_order.end());
@@ -111,7 +112,7 @@ TEST(Cosamp, MatchesOmpOnEasyProblems) {
   for (Index i = 0; i < p; ++i)
     alpha[static_cast<std::size_t>(rng.uniform_index(m))] = 2.0;
   const std::vector<Real> f = synthesize(g, alpha);
-  const SolverPath omp = OmpSolver().fit_path(g, f, p);
+  const SolverPath omp = OmpSolver().fit_path(MaterializedSource(g), f, p);
   const SolverPath cosamp = CosampSolver().fit_at_sparsity(g, f, p);
   const std::set<Index> omp_sup(omp.selection_order.begin(),
                                 omp.selection_order.end());

@@ -1,9 +1,14 @@
 #include "core/cross_validation.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/lar.hpp"
+#include "core/metrics.hpp"
 #include "core/omp.hpp"
 #include "core/star.hpp"
 #include "linalg/vector_ops.hpp"
@@ -127,6 +132,125 @@ TEST(CrossValidation, FoldCountValidation) {
   EXPECT_THROW(CrossValidator{opt}, Error);
 }
 
+/// The copy-based fold loop CrossValidator::run used before its folds
+/// became row views: copy each fold's training and held-out rows of G into
+/// new matrices, fit on the one, score on the other. Same fold assignment,
+/// averaging and argmin; no degenerate-fold handling.
+CrossValidationResult copied_folds_cv(
+    const PathSolver& solver, const Matrix& g, std::span<const Real> f,
+    Index max_lambda, const CrossValidator::Options& options) {
+  const Index k = g.rows();
+  const int q = options.num_folds;
+  std::vector<Index> perm(static_cast<std::size_t>(k));
+  std::iota(perm.begin(), perm.end(), Index{0});
+  Rng rng(options.seed);
+  rng.shuffle(perm);
+
+  const auto copy_rows = [&](const std::vector<Index>& rows, Matrix& g_out,
+                             std::vector<Real>& f_out) {
+    g_out = Matrix(static_cast<Index>(rows.size()), g.cols());
+    f_out.resize(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (Index j = 0; j < g.cols(); ++j)
+        g_out(static_cast<Index>(r), j) = g(rows[r], j);
+      f_out[r] = f[static_cast<std::size_t>(rows[r])];
+    }
+  };
+
+  CrossValidationResult result;
+  for (int fold = 0; fold < q; ++fold) {
+    std::vector<Index> train_rows, test_rows;
+    for (Index i = 0; i < k; ++i) {
+      (static_cast<int>(i % q) == fold ? test_rows : train_rows)
+          .push_back(perm[static_cast<std::size_t>(i)]);
+    }
+    Matrix g_train, g_test;
+    std::vector<Real> f_train, f_test;
+    copy_rows(train_rows, g_train, f_train);
+    copy_rows(test_rows, g_test, f_test);
+
+    const SolverPath path =
+        solver.fit_path(MaterializedSource(g_train), f_train, max_lambda);
+    std::vector<Real>& curve = result.fold_curves.emplace_back();
+    std::vector<Real> pred(test_rows.size());
+    for (Index t = 0; t < path.num_steps(); ++t) {
+      const std::vector<Index> sup = path.support(t);
+      const std::vector<Real>& coef =
+          path.coefficients[static_cast<std::size_t>(t)];
+      std::fill(pred.begin(), pred.end(), Real{0});
+      for (std::size_t s = 0; s < sup.size(); ++s)
+        for (std::size_t r = 0; r < test_rows.size(); ++r)
+          pred[r] += coef[s] * g_test(static_cast<Index>(r), sup[s]);
+      curve.push_back(relative_rms_error(pred, f_test));
+    }
+  }
+
+  std::size_t common = result.fold_curves[0].size();
+  for (const auto& curve : result.fold_curves)
+    common = std::min(common, curve.size());
+  result.error_curve.assign(common, Real{0});
+  for (const auto& curve : result.fold_curves)
+    for (std::size_t t = 0; t < common; ++t) result.error_curve[t] += curve[t];
+  for (Real& e : result.error_curve) e /= static_cast<Real>(q);
+  const auto best =
+      std::min_element(result.error_curve.begin(), result.error_curve.end());
+  result.best_lambda =
+      static_cast<Index>(best - result.error_curve.begin()) + 1;
+  result.best_error = *best;
+  return result;
+}
+
+TEST(CrossValidation, RowViewFoldsMatchCopiedFolds) {
+  // The default Q = 4 splits K = 96 into equal folds; Q = 5 splits K = 93
+  // into folds of unequal size.
+  const SparseProblem even = make_problem(96, 180, 5, 0.1, 513);
+  const SparseProblem uneven = make_problem(93, 150, 4, 0.2, 514);
+  const CrossValidator::Options four{};
+  CrossValidator::Options five;
+  five.num_folds = 5;
+  five.seed = 3;
+  const OmpSolver omp;
+  const StarSolver star;
+  const LarSolver lar;
+  for (const auto& [prob, options] :
+       {std::pair{&even, four}, std::pair{&uneven, five}}) {
+    // OMP and STAR see the same rows in the same order through the view as
+    // through the copy, so every curve value is bit-identical.
+    for (const PathSolver* solver : {static_cast<const PathSolver*>(&omp),
+                                     static_cast<const PathSolver*>(&star)}) {
+      const CrossValidationResult view =
+          CrossValidator(options).run(*solver, prob->g, prob->f, 30);
+      const CrossValidationResult copy =
+          copied_folds_cv(*solver, prob->g, prob->f, 30, options);
+      EXPECT_EQ(view.fold_curves, copy.fold_curves) << solver->name();
+      EXPECT_EQ(view.error_curve, copy.error_curve) << solver->name();
+      EXPECT_EQ(view.best_lambda, copy.best_lambda) << solver->name();
+      EXPECT_EQ(view.best_error, copy.best_error) << solver->name();
+    }
+    // LAR is held to 1e-12 relative on every curve value. It agrees bit for
+    // bit today as well, but it rescales every scan per column and refactors
+    // its active Gram matrix, so it is the solver whose curves would first
+    // move by rounding if the row-list scan and the whole-matrix scan ever
+    // summed in different orders; 1e-12 still pins the chosen lambda.
+    const CrossValidationResult view =
+        CrossValidator(options).run(lar, prob->g, prob->f, 30);
+    const CrossValidationResult copy =
+        copied_folds_cv(lar, prob->g, prob->f, 30, options);
+    ASSERT_EQ(view.fold_curves.size(), copy.fold_curves.size());
+    for (std::size_t q = 0; q < view.fold_curves.size(); ++q) {
+      ASSERT_EQ(view.fold_curves[q].size(), copy.fold_curves[q].size());
+      for (std::size_t t = 0; t < view.fold_curves[q].size(); ++t)
+        EXPECT_NEAR(view.fold_curves[q][t], copy.fold_curves[q][t],
+                    1e-12 * copy.fold_curves[q][t]);
+    }
+    ASSERT_EQ(view.error_curve.size(), copy.error_curve.size());
+    for (std::size_t t = 0; t < view.error_curve.size(); ++t)
+      EXPECT_NEAR(view.error_curve[t], copy.error_curve[t],
+                  1e-12 * copy.error_curve[t]);
+    EXPECT_EQ(view.best_lambda, copy.best_lambda);
+  }
+}
+
 TEST(CrossValidation, CleanRunReportsNoSkippedFolds) {
   const SparseProblem prob = make_problem(60, 100, 3, 0.1, 510);
   const CrossValidationResult cv =
@@ -140,7 +264,8 @@ class FlakySolver : public PathSolver {
  public:
   explicit FlakySolver(int fail_first_n) : fail_first_n_(fail_first_n) {}
 
-  [[nodiscard]] SolverPath fit_path(const Matrix& g, std::span<const Real> f,
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
+                                    std::span<const Real> f,
                                     Index max_steps) const override {
     if (calls_++ < fail_first_n_)
       throw SingularMatrixError("degenerate fold (injected)");

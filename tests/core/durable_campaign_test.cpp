@@ -168,10 +168,11 @@ TEST(DurableCampaignTest, ResumeAfterInterruptIsBitIdentical) {
     // The acceptance pin extends to the models: identical survivor data
     // must fit to bit-identical coefficients.
     const OmpSolver solver;
-    const SolverPath fit_resumed =
-        solver.fit_path(resumed.samples, resumed.values, kCols);
-    const SolverPath fit_base = solver.fit_path(
-        uninterrupted.samples, uninterrupted.values, kCols);
+    const SolverPath fit_resumed = solver.fit_path(
+        MaterializedSource(resumed.samples), resumed.values, kCols);
+    const SolverPath fit_base =
+        solver.fit_path(MaterializedSource(uninterrupted.samples),
+                        uninterrupted.values, kCols);
     EXPECT_EQ(fit_resumed.selection_order, fit_base.selection_order);
     EXPECT_EQ(fit_resumed.coefficients, fit_base.coefficients);
   }

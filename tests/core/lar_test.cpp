@@ -30,7 +30,7 @@ TEST(Lar, FirstSelectionIsMostCorrelatedColumn) {
   std::vector<Real> alpha(30, 0.0);
   alpha[9] = 4.0;
   const std::vector<Real> f = synthesize(g, alpha);
-  const SolverPath path = LarSolver().fit_path(g, f, 3);
+  const SolverPath path = LarSolver().fit_path(MaterializedSource(g), f, 3);
   ASSERT_GE(path.num_steps(), 1);
   EXPECT_EQ(path.support(0)[0], 9);
 }
@@ -42,7 +42,7 @@ TEST(Lar, FullPathReachesLeastSquares) {
   const Index k = 60, m = 8;
   const Matrix g = monte_carlo_normal(k, m, rng);
   const std::vector<Real> f = rng.normal_vector(k);
-  const SolverPath path = LarSolver().fit_path(g, f, m);
+  const SolverPath path = LarSolver().fit_path(MaterializedSource(g), f, m);
   const std::vector<Real> dense =
       path.dense_coefficients(path.num_steps() - 1, m);
   const std::vector<Real> ls = QrFactorization(g).solve(f);
@@ -66,7 +66,7 @@ TEST(Lar, EquiangularProperty) {
     x.set_col(j, c);
   }
   const std::vector<Real> f = rng.normal_vector(k);
-  const SolverPath path = LarSolver().fit_path(x, f, 6);
+  const SolverPath path = LarSolver().fit_path(MaterializedSource(x), f, 6);
   ASSERT_GE(path.num_steps(), 4);
 
   for (Index t = 0; t < 4; ++t) {
@@ -108,7 +108,7 @@ TEST(Lar, RecoversSparseSignal) {
   for (std::size_t i = 0; i < support.size(); ++i)
     alpha[static_cast<std::size_t>(support[i])] = coeffs[i];
   const std::vector<Real> f = synthesize(g, alpha);
-  const SolverPath path = LarSolver().fit_path(g, f, 8);
+  const SolverPath path = LarSolver().fit_path(MaterializedSource(g), f, 8);
   const std::vector<Index> final_support = path.support(path.num_steps() - 1);
   const std::set<Index> found(final_support.begin(), final_support.end());
   for (Index s : support) EXPECT_TRUE(found.count(s)) << "missing " << s;
@@ -120,7 +120,7 @@ TEST(Lar, ActiveSetGrowsByOnePerStepWithoutLasso) {
   Rng rng(305);
   const Matrix g = monte_carlo_normal(50, 100, rng);
   const std::vector<Real> f = rng.normal_vector(50);
-  const SolverPath path = LarSolver().fit_path(g, f, 12);
+  const SolverPath path = LarSolver().fit_path(MaterializedSource(g), f, 12);
   for (Index t = 0; t < path.num_steps(); ++t)
     EXPECT_EQ(static_cast<Index>(path.support(t).size()), t + 1);
 }
@@ -129,7 +129,7 @@ TEST(Lar, ResidualNormsDecrease) {
   Rng rng(306);
   const Matrix g = monte_carlo_normal(60, 150, rng);
   const std::vector<Real> f = rng.normal_vector(60);
-  const SolverPath path = LarSolver().fit_path(g, f, 15);
+  const SolverPath path = LarSolver().fit_path(MaterializedSource(g), f, 15);
   for (std::size_t t = 1; t < path.residual_norms.size(); ++t)
     EXPECT_LT(path.residual_norms[t], path.residual_norms[t - 1] + 1e-12);
 }
@@ -142,7 +142,7 @@ TEST(Lar, CoefficientsShrunkRelativeToLsOnActiveSet) {
   const Index k = 100, m = 20;
   const Matrix g = monte_carlo_normal(k, m, rng);
   const std::vector<Real> f = rng.normal_vector(k);
-  const SolverPath path = LarSolver().fit_path(g, f, 5);
+  const SolverPath path = LarSolver().fit_path(MaterializedSource(g), f, 5);
   ASSERT_GE(path.num_steps(), 3);
   const Index t = 2;
   const std::vector<Index> sup = path.support(t);
@@ -170,7 +170,7 @@ TEST(Lar, LassoModeDropsCrossingCoefficients) {
   for (int trial = 0; trial < 20 && !saw_drop; ++trial) {
     const Matrix g = monte_carlo_normal(40, 80, rng);
     const std::vector<Real> f = rng.normal_vector(40);
-    const SolverPath path = lasso.fit_path(g, f, 20);
+    const SolverPath path = lasso.fit_path(MaterializedSource(g), f, 20);
     for (Index t = 1; t < path.num_steps(); ++t) {
       if (path.support(t).size() < path.support(t - 1).size()) {
         saw_drop = true;
@@ -190,7 +190,7 @@ TEST(Lar, LassoCoefficientsKeepSignConsistency) {
   opt.lasso = true;
   const Matrix g = monte_carlo_normal(50, 100, rng);
   const std::vector<Real> f = rng.normal_vector(50);
-  const SolverPath path = LarSolver(opt).fit_path(g, f, 15);
+  const SolverPath path = LarSolver(opt).fit_path(MaterializedSource(g), f, 15);
   for (Index t = 0; t < path.num_steps(); ++t) {
     for (Real c : path.coefficients[static_cast<std::size_t>(t)]) {
       if (t + 1 < path.num_steps()) {  // last step may legitimately hit zero
@@ -210,7 +210,7 @@ TEST(Lar, HandlesDuplicateColumns) {
   g.set_col(2, rng.normal_vector(k));
   g.set_col(3, rng.normal_vector(k));
   const std::vector<Real> f = rng.normal_vector(k);
-  const SolverPath path = LarSolver().fit_path(g, f, 4);
+  const SolverPath path = LarSolver().fit_path(MaterializedSource(g), f, 4);
   EXPECT_LE(path.num_steps(), 3);
   // No support contains both duplicates.
   for (Index t = 0; t < path.num_steps(); ++t) {
@@ -224,7 +224,7 @@ TEST(Lar, ZeroTargetGivesEmptyPath) {
   Rng rng(311);
   const Matrix g = monte_carlo_normal(20, 10, rng);
   const std::vector<Real> f(20, 0.0);
-  const SolverPath path = LarSolver().fit_path(g, f, 5);
+  const SolverPath path = LarSolver().fit_path(MaterializedSource(g), f, 5);
   EXPECT_EQ(path.num_steps(), 0);
 }
 

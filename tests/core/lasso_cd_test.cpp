@@ -1,4 +1,4 @@
-#include "core/lasso_cd.hpp"
+#include "support/lasso_cd.hpp"
 
 #include <cmath>
 #include <set>
@@ -81,7 +81,8 @@ TEST(LassoCd, RecoversSparseSignal) {
   std::vector<Real> f = synthesize(g, alpha);
   for (Real& v : f) v += 0.01 * rng.normal();
 
-  const SolverPath path = LassoCdSolver().fit_path(g, f, 40);
+  const SolverPath path =
+      LassoCdSolver().fit_path(MaterializedSource(g), f, 40);
   ASSERT_GT(path.num_steps(), 0);
   // Somewhere on the path the support is exactly recovered.
   bool exact = false;
@@ -98,7 +99,8 @@ TEST(LassoCd, PathActiveSetGrowsWithDecreasingPenalty) {
   Rng rng(605);
   const Matrix g = monte_carlo_normal(50, 80, rng);
   const std::vector<Real> f = rng.normal_vector(50);
-  const SolverPath path = LassoCdSolver().fit_path(g, f, 30);
+  const SolverPath path =
+      LassoCdSolver().fit_path(MaterializedSource(g), f, 30);
   // Non-strictly monotone in general, but first << last.
   ASSERT_GE(path.num_steps(), 10);
   EXPECT_LT(path.support(0).size(), path.support(path.num_steps() - 1).size());
@@ -117,7 +119,8 @@ TEST(LassoCd, AgreesWithLassoLarAtMatchedL1Norm) {
 
   LarSolver::Options lar_opt;
   lar_opt.lasso = true;
-  const SolverPath lar = LarSolver(lar_opt).fit_path(g, f, 8);
+  const SolverPath lar =
+      LarSolver(lar_opt).fit_path(MaterializedSource(g), f, 8);
   ASSERT_GE(lar.num_steps(), 5);
   const Index t = 4;
   const std::vector<Real> lar_dense = lar.dense_coefficients(t, m);

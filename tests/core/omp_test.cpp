@@ -40,7 +40,7 @@ TEST(Omp, RecoversExactSparseSolutionNoiseless) {
     alpha[static_cast<std::size_t>(support[i])] = coeffs[i];
   const std::vector<Real> f = synthesize(g, alpha);
 
-  const SolverPath path = OmpSolver().fit_path(g, f, 5);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, 5);
   ASSERT_EQ(path.num_steps(), 5);
   const std::set<Index> found(path.selection_order.begin(),
                               path.selection_order.end());
@@ -61,7 +61,7 @@ TEST(Omp, SelectsLargestCoefficientFirst) {
   alpha[7] = 10.0;   // dominant
   alpha[20] = 0.5;
   const std::vector<Real> f = synthesize(g, alpha);
-  const SolverPath path = OmpSolver().fit_path(g, f, 2);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, 2);
   EXPECT_EQ(path.selection_order[0], 7);
 }
 
@@ -72,7 +72,7 @@ TEST(Omp, CoefficientsMatchLeastSquaresOnSupport) {
   const Index k = 80, m = 120;
   const Matrix g = monte_carlo_normal(k, m, rng);
   const std::vector<Real> f = rng.normal_vector(k);  // generic target
-  const SolverPath path = OmpSolver().fit_path(g, f, 6);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, 6);
   ASSERT_EQ(path.num_steps(), 6);
   for (Index t = 0; t < path.num_steps(); ++t) {
     const std::vector<Index> sup = path.support(t);
@@ -90,7 +90,7 @@ TEST(Omp, ResidualNormsDecreaseMonotonically) {
   Rng rng(104);
   const Matrix g = monte_carlo_normal(50, 100, rng);
   const std::vector<Real> f = rng.normal_vector(50);
-  const SolverPath path = OmpSolver().fit_path(g, f, 20);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, 20);
   for (std::size_t t = 1; t < path.residual_norms.size(); ++t)
     EXPECT_LE(path.residual_norms[t], path.residual_norms[t - 1] + 1e-12);
 }
@@ -99,7 +99,7 @@ TEST(Omp, NeverSelectsSameColumnTwice) {
   Rng rng(105);
   const Matrix g = monte_carlo_normal(40, 60, rng);
   const std::vector<Real> f = rng.normal_vector(40);
-  const SolverPath path = OmpSolver().fit_path(g, f, 30);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, 30);
   std::set<Index> seen(path.selection_order.begin(),
                        path.selection_order.end());
   EXPECT_EQ(seen.size(), path.selection_order.size());
@@ -115,7 +115,7 @@ TEST(Omp, ResidualToleranceStopsEarly) {
   const std::vector<Real> f = synthesize(g, alpha);
   OmpSolver::Options opt;
   opt.residual_tolerance = 1e-8;
-  const SolverPath path = OmpSolver(opt).fit_path(g, f, 50);
+  const SolverPath path = OmpSolver(opt).fit_path(MaterializedSource(g), f, 50);
   EXPECT_EQ(path.num_steps(), 2);  // exact sparsity reached, stop
 }
 
@@ -130,7 +130,7 @@ TEST(Omp, SkipsNumericallyDependentColumns) {
   g.set_col(2, rng.normal_vector(k));
   g.set_col(3, rng.normal_vector(k));
   const std::vector<Real> f = rng.normal_vector(k);
-  const SolverPath path = OmpSolver().fit_path(g, f, 4);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, 4);
   // Path has 3 independent columns at most.
   EXPECT_LE(path.num_steps(), 3);
   const std::set<Index> sel(path.selection_order.begin(),
@@ -142,7 +142,7 @@ TEST(Omp, MaxStepsClampedBySamples) {
   Rng rng(108);
   const Matrix g = monte_carlo_normal(10, 50, rng);
   const std::vector<Real> f = rng.normal_vector(10);
-  const SolverPath path = OmpSolver().fit_path(g, f, 50);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, 50);
   EXPECT_LE(path.num_steps(), 10);
 }
 
@@ -150,7 +150,7 @@ TEST(Omp, PathSupportsAreNested) {
   Rng rng(109);
   const Matrix g = monte_carlo_normal(40, 80, rng);
   const std::vector<Real> f = rng.normal_vector(40);
-  const SolverPath path = OmpSolver().fit_path(g, f, 10);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, 10);
   for (Index t = 1; t < path.num_steps(); ++t) {
     const std::vector<Index> prev = path.support(t - 1);
     const std::vector<Index> cur = path.support(t);
@@ -169,7 +169,7 @@ TEST(Omp, TelemetryEventsMirrorTheSolverPath) {
 
   const auto ring = std::make_shared<obs::RingBufferSink>();
   obs::set_telemetry_sink(ring);
-  const SolverPath path = OmpSolver().fit_path(g, f, 12);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, 12);
   obs::set_telemetry_sink(nullptr);
 
   std::vector<obs::SolverIterationEvent> events;
@@ -199,7 +199,7 @@ TEST(Omp, NoTelemetryEmittedWithoutSink) {
   Rng rng(111);
   const Matrix g = monte_carlo_normal(30, 60, rng);
   const std::vector<Real> f = rng.normal_vector(30);
-  (void)OmpSolver().fit_path(g, f, 5);
+  (void)OmpSolver().fit_path(MaterializedSource(g), f, 5);
   const auto ring = std::make_shared<obs::RingBufferSink>();
   obs::set_telemetry_sink(ring);
   obs::set_telemetry_sink(nullptr);
@@ -223,7 +223,7 @@ TEST_P(OmpRecovery, SupportRecoveredAtSufficientSampling) {
   for (Index s : support)
     alpha[static_cast<std::size_t>(s)] = rng.normal() >= 0 ? 1.0 : -1.0;
   const std::vector<Real> f = synthesize(g, alpha);
-  const SolverPath path = OmpSolver().fit_path(g, f, p);
+  const SolverPath path = OmpSolver().fit_path(MaterializedSource(g), f, p);
   const std::set<Index> found(path.selection_order.begin(),
                               path.selection_order.end());
   int hits = 0;

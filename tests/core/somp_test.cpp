@@ -94,7 +94,7 @@ TEST(Somp, SingleResponseReducesToOmp) {
   const std::vector<Real> f = responses.col(0);
 
   const SompResult somp = SompSolver().fit(g, responses, 8);
-  const SolverPath omp = OmpSolver().fit_path(g, f, 8);
+  const SolverPath omp = OmpSolver().fit_path(MaterializedSource(g), f, 8);
   ASSERT_EQ(somp.support.size(), omp.selection_order.size());
   for (std::size_t i = 0; i < somp.support.size(); ++i)
     EXPECT_EQ(somp.support[i], omp.selection_order[i]) << "step " << i;

@@ -1,4 +1,4 @@
-#include "core/stagewise.hpp"
+#include "support/stagewise.hpp"
 
 #include <cmath>
 #include <set>
@@ -26,7 +26,8 @@ TEST(Stagewise, ResidualDecreases) {
   Rng rng(701);
   const Matrix g = monte_carlo_normal(50, 60, rng);
   const std::vector<Real> f = rng.normal_vector(50);
-  const SolverPath path = StagewiseSolver().fit_path(g, f, 10);
+  const SolverPath path =
+      StagewiseSolver().fit_path(MaterializedSource(g), f, 10);
   ASSERT_GT(path.num_steps(), 1);
   for (std::size_t t = 1; t < path.residual_norms.size(); ++t)
     EXPECT_LE(path.residual_norms[t], path.residual_norms[t - 1] + 1e-12);
@@ -38,7 +39,8 @@ TEST(Stagewise, FindsDominantColumnFirst) {
   std::vector<Real> alpha(40, 0.0);
   alpha[23] = 5.0;
   const std::vector<Real> f = synthesize(g, alpha);
-  const SolverPath path = StagewiseSolver().fit_path(g, f, 2);
+  const SolverPath path =
+      StagewiseSolver().fit_path(MaterializedSource(g), f, 2);
   const std::vector<Index> sup = path.support(0);
   ASSERT_FALSE(sup.empty());
   EXPECT_TRUE(std::find(sup.begin(), sup.end(), 23) != sup.end());
@@ -55,7 +57,8 @@ TEST(Stagewise, ConvergesToSparseTruth) {
   StagewiseSolver::Options opt;
   opt.epsilon = 0.02;
   opt.steps_per_record = 200;
-  const SolverPath path = StagewiseSolver(opt).fit_path(g, f, 10);
+  const SolverPath path =
+      StagewiseSolver(opt).fit_path(MaterializedSource(g), f, 10);
   const std::vector<Real> dense =
       path.dense_coefficients(path.num_steps() - 1, m);
   EXPECT_NEAR(dense[10], 1.5, 0.1);
@@ -71,7 +74,7 @@ TEST(Stagewise, SmallEpsilonApproachesLarPath) {
   const Matrix g = monte_carlo_normal(k, m, rng);
   const std::vector<Real> f = rng.normal_vector(k);
 
-  const SolverPath lar = LarSolver().fit_path(g, f, 5);
+  const SolverPath lar = LarSolver().fit_path(MaterializedSource(g), f, 5);
   ASSERT_GE(lar.num_steps(), 3);
   const Real target_residual = lar.residual_norms[2];
   const std::vector<Real> lar_dense = lar.dense_coefficients(2, m);
@@ -79,7 +82,8 @@ TEST(Stagewise, SmallEpsilonApproachesLarPath) {
   StagewiseSolver::Options opt;
   opt.epsilon = 0.002;
   opt.steps_per_record = 25;
-  const SolverPath stage = StagewiseSolver(opt).fit_path(g, f, 400);
+  const SolverPath stage =
+      StagewiseSolver(opt).fit_path(MaterializedSource(g), f, 400);
   // Find the stagewise record closest in residual norm.
   Index best = 0;
   Real best_gap = 1e300;
@@ -102,7 +106,8 @@ TEST(Stagewise, ZeroTargetEmptyPath) {
   Rng rng(705);
   const Matrix g = monte_carlo_normal(20, 10, rng);
   const std::vector<Real> f(20, 0.0);
-  const SolverPath path = StagewiseSolver().fit_path(g, f, 5);
+  const SolverPath path =
+      StagewiseSolver().fit_path(MaterializedSource(g), f, 5);
   EXPECT_EQ(path.num_steps(), 0);
 }
 
@@ -112,7 +117,8 @@ TEST(Stagewise, InvalidOptionsThrow) {
   const std::vector<Real> f = rng.normal_vector(10);
   StagewiseSolver::Options opt;
   opt.epsilon = 0;
-  EXPECT_THROW((void)StagewiseSolver(opt).fit_path(g, f, 3), Error);
+  EXPECT_THROW((void)StagewiseSolver(opt).fit_path(MaterializedSource(g), f, 3),
+               Error);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ TEST(Star, SelectsDominantColumnFirst) {
   alpha[13] = 5.0;
   alpha[25] = 0.3;
   const std::vector<Real> f = synthesize(g, alpha);
-  const SolverPath path = StarSolver().fit_path(g, f, 2);
+  const SolverPath path = StarSolver().fit_path(MaterializedSource(g), f, 2);
   EXPECT_EQ(path.selection_order[0], 13);
 }
 
@@ -42,7 +42,7 @@ TEST(Star, SingleOrthogonalColumnExact) {
   std::vector<Real> alpha(20, 0.0);
   alpha[4] = 2.5;
   const std::vector<Real> f = synthesize(g, alpha);
-  const SolverPath path = StarSolver().fit_path(g, f, 1);
+  const SolverPath path = StarSolver().fit_path(MaterializedSource(g), f, 1);
   EXPECT_NEAR(path.coefficients[0][0], 2.5, 1e-9);
   EXPECT_LT(path.residual_norms[0], 1e-9);
 }
@@ -53,7 +53,7 @@ TEST(Star, ResidualNormsNonIncreasing) {
   Rng rng(203);
   const Matrix g = monte_carlo_normal(60, 100, rng);
   const std::vector<Real> f = rng.normal_vector(60);
-  const SolverPath path = StarSolver().fit_path(g, f, 25);
+  const SolverPath path = StarSolver().fit_path(MaterializedSource(g), f, 25);
   for (std::size_t t = 1; t < path.residual_norms.size(); ++t)
     EXPECT_LE(path.residual_norms[t], path.residual_norms[t - 1] + 1e-12);
 }
@@ -78,8 +78,8 @@ TEST(Star, WorseThanOmpOnCorrelatedColumns) {
   alpha[7] = 0.8;
   const std::vector<Real> f = synthesize(g, alpha);
 
-  const SolverPath star = StarSolver().fit_path(g, f, 10);
-  const SolverPath omp = OmpSolver().fit_path(g, f, 10);
+  const SolverPath star = StarSolver().fit_path(MaterializedSource(g), f, 10);
+  const SolverPath omp = OmpSolver().fit_path(MaterializedSource(g), f, 10);
   const Real star_res = star.residual_norms.back();
   const Real omp_res = omp.residual_norms.back();
   EXPECT_LT(omp_res, 1e-8);           // OMP nails it within 10 steps
@@ -101,7 +101,7 @@ TEST(Star, MayReselectColumns) {
   g.set_col(2, c2);
   std::vector<Real> f = g.col(0);
   axpy(0.9, g.col(1), f);
-  const SolverPath path = StarSolver().fit_path(g, f, 12);
+  const SolverPath path = StarSolver().fit_path(MaterializedSource(g), f, 12);
   std::set<Index> distinct(path.selection_order.begin(),
                            path.selection_order.end());
   EXPECT_LT(distinct.size(), path.selection_order.size());
@@ -118,7 +118,7 @@ TEST(Star, DenseCoefficientsAccumulateDuplicates) {
   Rng rng(206);
   const Matrix g = monte_carlo_normal(30, 5, rng);
   const std::vector<Real> f = rng.normal_vector(30);
-  const SolverPath path = StarSolver().fit_path(g, f, 15);
+  const SolverPath path = StarSolver().fit_path(MaterializedSource(g), f, 15);
   // Sum of per-step contributions per column == dense vector.
   std::vector<Real> manual(5, 0.0);
   const auto& last = path.coefficients.back();

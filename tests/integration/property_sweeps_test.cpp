@@ -7,15 +7,15 @@
 
 #include "basis/hermite.hpp"
 #include "basis/quadrature.hpp"
-#include "core/cosamp.hpp"
 #include "core/lar.hpp"
-#include "core/lasso_cd.hpp"
 #include "core/omp.hpp"
 #include "linalg/vector_ops.hpp"
 #include "spice/netlist.hpp"
 #include "spice/transient.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
+#include "support/cosamp.hpp"
+#include "support/lasso_cd.hpp"
 
 namespace rsm {
 namespace {
@@ -39,7 +39,7 @@ TEST_P(SolverAgreementSweep, GreedyFamilyAgreesOnWellSeparatedTruth) {
     axpy(c, g.col(s), f);
   }
 
-  const SolverPath omp = OmpSolver().fit_path(g, f, p);
+  const SolverPath omp = OmpSolver().fit_path(MaterializedSource(g), f, p);
   const std::set<Index> omp_sup(omp.selection_order.begin(),
                                 omp.selection_order.end());
   EXPECT_EQ(omp_sup, support) << "OMP";
@@ -48,7 +48,7 @@ TEST_P(SolverAgreementSweep, GreedyFamilyAgreesOnWellSeparatedTruth) {
   const std::vector<Index> cs = cosamp.support(0);
   EXPECT_EQ(std::set<Index>(cs.begin(), cs.end()), support) << "CoSaMP";
 
-  const SolverPath lar = LarSolver().fit_path(g, f, p);
+  const SolverPath lar = LarSolver().fit_path(MaterializedSource(g), f, p);
   const std::vector<Index> ls = lar.support(lar.num_steps() - 1);
   EXPECT_EQ(std::set<Index>(ls.begin(), ls.end()), support) << "LAR";
 }
@@ -61,7 +61,8 @@ TEST_P(SolverAgreementSweep, LarAndCdAgreeAtMatchedL1Norm) {
 
   LarSolver::Options lar_opt;
   lar_opt.lasso = true;
-  const SolverPath lar = LarSolver(lar_opt).fit_path(g, f, 6);
+  const SolverPath lar =
+      LarSolver(lar_opt).fit_path(MaterializedSource(g), f, 6);
   ASSERT_GE(lar.num_steps(), 4);
   const std::vector<Real> lar_dense = lar.dense_coefficients(3, m);
   Real l1 = 0;

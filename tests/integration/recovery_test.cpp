@@ -90,7 +90,8 @@ TEST(Recovery, SampleComplexityScalesLogarithmically) {
         const Matrix train = monte_carlo_normal(k, n, rng);
         const std::vector<Real> f = fn.observe(train, rng);
         const Matrix g = dict->design_matrix(train);
-        const SolverPath path = OmpSolver().fit_path(g, f, p);
+        const SolverPath path =
+            OmpSolver().fit_path(MaterializedSource(g), f, p);
         std::set<Index> found(path.selection_order.begin(),
                               path.selection_order.end());
         bool all = true;

@@ -125,10 +125,11 @@ TEST(CooperativeSolverTest, GreedyFitUnwindsUnderCancelledScope) {
     CancellationSource source;
     source.request_cancel();
     ScopedRunControl scope({source.token(), Deadline::unlimited()});
-    EXPECT_THROW((void)solver.fit_path(g, f, 10), DeadlineExceededError);
+    EXPECT_THROW((void)solver.fit_path(MaterializedSource(g), f, 10),
+                 DeadlineExceededError);
   }
   // Outside the scope the same fit succeeds.
-  const SolverPath path = solver.fit_path(g, f, 10);
+  const SolverPath path = solver.fit_path(MaterializedSource(g), f, 10);
   EXPECT_GT(path.num_steps(), 0);
 }
 
