@@ -262,22 +262,19 @@ std::string ModelServer::handle_eval_batch(const std::string& payload) {
   if (parsed.rows <= chunk) {
     model.predict_batch(parsed.samples, parsed.rows, out);
   } else {
-    // Fan the request across the pool in `chunk`-row slices; each worker
-    // writes a disjoint range of `out`, so no synchronization beyond
-    // wait_idle() is needed.
-    for (Index r0 = 0; r0 < parsed.rows; r0 += chunk) {
+    // Fan the request across the pool and this thread in `chunk`-row
+    // slices; each writes a disjoint range of `out`. A chunk that throws
+    // fails the whole request through the error frame below.
+    const Index chunks = (parsed.rows + chunk - 1) / chunk;
+    pool_.parallel_for(static_cast<std::size_t>(chunks), [&](std::size_t c) {
+      const Index r0 = static_cast<Index>(c) * chunk;
       const Index nb = std::min(chunk, parsed.rows - r0);
-      pool_.submit([&model, &parsed, &out, r0, nb] {
-        const std::size_t offset =
-            static_cast<std::size_t>(r0 * parsed.cols);
-        model.predict_batch(
-            std::span<const Real>(parsed.samples.data() + offset,
-                                  static_cast<std::size_t>(nb * parsed.cols)),
-            nb,
-            std::span<Real>(out.data() + r0, static_cast<std::size_t>(nb)));
-      });
-    }
-    pool_.wait_idle();
+      const std::size_t offset = static_cast<std::size_t>(r0 * parsed.cols);
+      model.predict_batch(
+          std::span<const Real>(parsed.samples.data() + offset,
+                                static_cast<std::size_t>(nb * parsed.cols)),
+          nb, std::span<Real>(out.data() + r0, static_cast<std::size_t>(nb)));
+    });
   }
   stats_.batch_rows += static_cast<std::uint64_t>(parsed.rows);
   obs::metrics().counter("serve.batch_rows").increment(parsed.rows);

@@ -3,11 +3,11 @@
 // A single-threaded poll(2) event loop on an AF_UNIX stream socket accepts
 // connections, extracts protocol frames (serve/protocol.hpp), and answers
 // eval / eval_batch / yield / worst_case / list_models / reload requests
-// against a ModelRegistry. Large batches are split into chunks and
-// dispatched onto the shared rsm::ThreadPool so one million-row request
-// uses every core; requests themselves are handled in arrival order, which
-// keeps responses on one connection ordered without any per-connection
-// queueing.
+// against a ModelRegistry. Large batches are split into chunks that run on
+// the server's rsm::ThreadPool and the event-loop thread, so one
+// million-row request uses every core; requests themselves are handled in
+// arrival order, which keeps responses on one connection ordered without
+// any per-connection queueing.
 //
 // Overload and misbehaving-peer defenses (all per-connection — one bad
 // client never degrades the others):
@@ -75,11 +75,11 @@ struct ServerOptions {
   /// Registry directory the server loads models from.
   std::string registry_root;
 
-  /// Worker threads for batched evaluation; 0 = auto (RSM_THREADS or
-  /// hardware concurrency).
+  /// Pool worker threads for batched evaluation, which the event-loop
+  /// thread joins; 0 = auto (RSM_THREADS or hardware concurrency).
   int num_threads = 0;
 
-  /// Rows per thread-pool task when splitting an eval_batch request.
+  /// Rows per part when splitting an eval_batch request.
   Index batch_chunk = 2048;
 
   /// Drain-and-exit signal; poll cadence bounds shutdown latency.

@@ -142,6 +142,9 @@ inline constexpr int kMetricsRegistry = 60;   ///< obs.metrics
 inline constexpr int kTraceRetired = 70;      ///< obs.trace.retired
 inline constexpr int kProgressReporter = 80;  ///< obs.progress.reporter
 inline constexpr int kLog = 90;  ///< log — near-leaf: code logs under locks
+/// pool.fan_out — leaf: counts finished parallel_for parts, and a caller
+/// may hold any other lock while it waits.
+inline constexpr int kPoolFanOut = 95;
 /// Unranked scratch (tests, tools): acquirable while holding anything,
 /// forbids nesting anything under it — including another kDefault lock.
 inline constexpr int kDefault = 1000;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 
 #include "util/log.hpp"
 
@@ -40,6 +41,61 @@ void raise_highwater(std::atomic<std::uint64_t>& highwater,
                                           std::memory_order_relaxed)) {
   }
 }
+
+/// What one parallel_for call shares with the helper tasks it submits. A
+/// helper holds it by shared_ptr and dereferences `body`, which lives on
+/// the caller's stack, only after claiming a part: the caller waits for
+/// every claimed part, so a helper that starts after the call has returned
+/// finds nothing left and touches only this object.
+class FanOut {
+ public:
+  FanOut(std::size_t count, const std::function<void(std::size_t)>& body)
+      : count_(count), body_(&body) {}
+
+  /// Claims and runs parts until none is left, then counts them done.
+  void drain() {
+    std::size_t ran = 0;
+    std::exception_ptr error;
+    for (;;) {
+      const std::size_t part = next_.fetch_add(1, std::memory_order_relaxed);
+      if (part >= count_) break;
+      ++ran;
+      if (failed_.load(std::memory_order_relaxed)) continue;
+      try {
+        (*body_)(part);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+        failed_.store(true, std::memory_order_relaxed);
+      }
+    }
+    if (ran == 0) return;
+    MutexLock lock(mutex_);
+    if (error && !error_) error_ = error;
+    done_ += ran;
+    if (done_ == count_) done_cv_.notify_all();
+  }
+
+  /// Blocks until every part is done; rethrows the first part's exception.
+  void wait() {
+    std::exception_ptr error;
+    {
+      MutexLock lock(mutex_);
+      while (done_ < count_) done_cv_.wait(lock);
+      error = error_;
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  const std::size_t count_;
+  const std::function<void(std::size_t)>* const body_;
+  std::atomic<std::size_t> next_{0};
+  std::atomic<bool> failed_{false};
+  Mutex mutex_{"pool.fan_out", lock_rank::kPoolFanOut};
+  CondVar done_cv_;
+  std::size_t done_ RSM_GUARDED_BY(mutex_) = 0;
+  std::exception_ptr error_ RSM_GUARDED_BY(mutex_);
+};
 
 }  // namespace
 
@@ -136,36 +192,69 @@ bool ThreadPool::try_push(int worker, Task& task) {
   return true;
 }
 
+bool ThreadPool::try_submit(Task& task) {
+  // Count the task as pending *before* it becomes visible to workers, so
+  // wait_idle() can never observe a spurious zero between push and count.
+  pending_.fetch_add(1, std::memory_order_acq_rel);
+  const int n = num_workers();
+  const std::uint64_t start =
+      next_queue_.fetch_add(1, std::memory_order_relaxed);
+  for (int i = 0; i < n; ++i) {
+    const int target =
+        static_cast<int>((start + static_cast<std::uint64_t>(i)) %
+                         static_cast<std::uint64_t>(n));
+    if (!try_push(target, task)) continue;
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+    const std::int64_t depth =
+        queued_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    raise_highwater(queue_highwater_, static_cast<std::uint64_t>(depth));
+    MutexLock lock(coord_);
+    work_cv_.notify_one();
+    return true;
+  }
+  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    MutexLock lock(coord_);
+    idle_cv_.notify_all();
+  }
+  return false;
+}
+
 void ThreadPool::submit(Task task) {
   RSM_CHECK_MSG(static_cast<bool>(task), "submit() needs a callable task");
   RSM_CHECK_MSG(!stop_.load(std::memory_order_relaxed),
                 "submit() after shutdown began");
-  // Count the task as pending *before* it becomes visible to workers, so
-  // wait_idle() can never observe a spurious zero between push and count.
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  const int n = num_workers();
-  for (;;) {
-    const std::uint64_t start =
-        next_queue_.fetch_add(1, std::memory_order_relaxed);
-    for (int i = 0; i < n; ++i) {
-      const int target = static_cast<int>((start + static_cast<std::uint64_t>(
-                                                       i)) %
-                                          static_cast<std::uint64_t>(n));
-      if (!try_push(target, task)) continue;
-      const std::int64_t depth =
-          queued_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      raise_highwater(queue_highwater_, static_cast<std::uint64_t>(depth));
-      MutexLock lock(coord_);
-      work_cv_.notify_one();
-      return;
-    }
+  while (!try_submit(task)) {
     // Every live queue is full: backpressure. Timed wait so a burst of
     // completions that raced the notify cannot strand this producer.
     backpressure_stalls_.fetch_add(1, std::memory_order_relaxed);
     MutexLock lock(coord_);
     space_cv_.wait_for(lock, kWakePollInterval);
   }
+}
+
+void ThreadPool::parallel_for(std::size_t count,
+                              const std::function<void(std::size_t)>& body) {
+  if (count == 0) return;
+  const auto fan_out = std::make_shared<FanOut>(count, body);
+  // One helper per part the caller will not run itself, at most one per
+  // worker. Full queues mean busy workers: the caller runs those parts
+  // rather than wait for space.
+  const std::size_t helpers =
+      std::min(count - 1, static_cast<std::size_t>(num_workers()));
+  try {
+    for (std::size_t h = 0; h < helpers; ++h) {
+      Task helper = [fan_out] { fan_out->drain(); };
+      if (!try_submit(helper)) break;
+    }
+  } catch (...) {
+    // A helper already queued may claim a part and call `body`: every
+    // part must finish before this frame unwinds.
+    fan_out->drain();
+    fan_out->wait();
+    throw;
+  }
+  fan_out->drain();
+  fan_out->wait();
 }
 
 void ThreadPool::wait_idle() {
@@ -280,6 +369,17 @@ void ThreadPool::worker_loop(int index) {
              self.retired.load(std::memory_order_relaxed);
     });
   }
+}
+
+ThreadPool* shared_pool() {
+  static const int threads = [] {
+    const int cores =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    return std::min(cores, resolve_num_workers(0, cores));
+  }();
+  if (threads <= 1) return nullptr;
+  static ThreadPool pool(ThreadPool::Options{threads - 1, 256});
+  return &pool;
 }
 
 }  // namespace rsm

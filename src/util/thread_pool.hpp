@@ -24,10 +24,15 @@
 //     retire so queues always drain;
 //   * a task that throws is counted (task_exceptions) and swallowed — the
 //     pool is infrastructure; error *classification* belongs to the
-//     campaign layer, which catches per-row exceptions itself.
+//     campaign layer, which catches per-row exceptions itself;
+//   * parallel_for() is the fan-out for one caller that needs every part
+//     done before it goes on (the correlation scan's column slices, the
+//     server's eval_batch chunks): the caller runs parts too, and a part's
+//     exception reaches the caller instead of the backstop above.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -96,6 +101,17 @@ class ThreadPool {
   /// Blocks until every submitted task has finished executing.
   void wait_idle();
 
+  /// Runs body(0), ..., body(count - 1), each exactly once, on the calling
+  /// thread and on up to num_workers() workers, and returns when all have
+  /// finished. The caller claims parts from the same counter as the
+  /// workers and waits only for parts a worker has already claimed, so the
+  /// call completes even when every worker is busy, including when it is
+  /// made from inside a task of this pool. After the first exception a
+  /// part throws, unclaimed parts are skipped and that exception is
+  /// rethrown here once every claimed part has finished.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& body);
+
   [[nodiscard]] int num_workers() const;
 
   /// Workers that have not been retired.
@@ -136,6 +152,7 @@ class ThreadPool {
   };
 
   void worker_loop(int index);
+  bool try_submit(Task& task);
   bool try_push(int worker, Task& task);
   Task try_pop_own(Worker& self);
   Task try_steal(int thief);
@@ -166,5 +183,13 @@ class ThreadPool {
   CondVar idle_cv_;   // pending_ may have reached zero
   CondVar space_cv_;  // queue space may have opened up
 };
+
+/// The process-wide pool that splits the correlation scan
+/// (gemv_transposed) across cores. The calling thread takes a share of
+/// every parallel_for, so the pool has one worker fewer than the threads
+/// a scan may use: hardware_concurrency, capped by RSM_THREADS. nullptr
+/// when that leaves no worker (RSM_THREADS=1 or one core): the caller then
+/// runs alone. Created on first use.
+[[nodiscard]] ThreadPool* shared_pool();
 
 }  // namespace rsm

@@ -1,27 +1,36 @@
 // Multi-threaded stress for the observability and control-plane state that
 // campaign scaling (sharding, batching, async) will lean on: the metrics
 // registry, telemetry sink swapping under emission, trace spans across
-// thread exits, cancellation tokens, and the signal flags. Run under
-// -DRSM_SANITIZE=thread this is the repo's race detector; the assertions
-// themselves are deliberately coarse — the point is the interleavings.
+// thread exits, cancellation tokens, and the signal flags; and for the
+// correlation scan split across the shared pool under concurrent path
+// fits. Run under -DRSM_SANITIZE=thread this is the repo's race detector;
+// the assertions themselves are deliberately coarse — the point is the
+// interleavings.
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/column_source.hpp"
+#include "core/pipeline.hpp"
+#include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "stats/lhs.hpp"
+#include "stats/rng.hpp"
 #include "util/cancellation.hpp"
 #include "util/errors.hpp"
 #include "util/signals.hpp"
 #include "util/sync.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsm {
 namespace {
@@ -254,6 +263,7 @@ TEST(ConcurrencyStress, LockRankEdgeChain) {
   Mutex progress_reporter{"stress.progress.reporter",
                           lock_rank::kProgressReporter};
   Mutex log{"stress.log", lock_rank::kLog};
+  Mutex pool_fan_out{"stress.pool.fan_out", lock_rank::kPoolFanOut};
   Mutex scratch{"stress.scratch"};  // kDefault: always acquirable last
 
   std::int64_t guarded_sum RSM_GUARDED_BY(scratch) = 0;
@@ -274,7 +284,8 @@ TEST(ConcurrencyStress, LockRankEdgeChain) {
           MutexLock l7(trace_retired);
           MutexLock l8(progress_reporter);
           MutexLock l9(log);
-          MutexLock l10(scratch);
+          MutexLock l10(pool_fan_out);
+          MutexLock l11(scratch);
           ++guarded_sum;
         }
         {
@@ -306,6 +317,109 @@ TEST(ConcurrencyStress, LockRankEdgeChain) {
                                (kIterations / 4));
   }
   EXPECT_TRUE(held_locks_for_testing().empty());
+}
+
+/// G's rows `rows`, scanned on the calling thread alone: the serial
+/// reference for MaterializedSource, whose scan splits across the pool.
+class SerialScanSource final : public ColumnSource {
+ public:
+  SerialScanSource(const Matrix& g, std::span<const Index> rows)
+      : g_(g), rows_(rows), view_(g, rows) {}
+
+  [[nodiscard]] Index rows() const override { return view_.rows(); }
+  [[nodiscard]] Index num_columns() const override {
+    return view_.num_columns();
+  }
+  void correlate(std::span<const Real> x,
+                 std::span<Real> out) const override {
+    gemv_transposed(g_, x, out, rows_, nullptr);
+  }
+  void column(Index j, std::span<Real> out) const override {
+    view_.column(j, out);
+  }
+
+ private:
+  const Matrix& g_;
+  std::span<const Index> rows_;
+  MaterializedSource view_;
+};
+
+void expect_same_path(const SolverPath& got, const SolverPath& want,
+                      const std::string& label) {
+  EXPECT_EQ(got.selection_order, want.selection_order) << label;
+  EXPECT_EQ(got.active_sets, want.active_sets) << label;
+  EXPECT_EQ(got.coefficients, want.coefficients) << label;
+  EXPECT_EQ(got.residual_norms, want.residual_norms) << label;
+}
+
+// Four threads fit OMP and LAR paths at once over row views of one G, as
+// cross-validation folds would, and one more fit runs inside a task of the
+// shared scan pool; every scan is large enough to split. Each path must
+// equal its single-threaded reference bit for bit.
+TEST(ConcurrencyStress, SplitScanPathFitsMatchSerialReference) {
+  constexpr int kFits = 5;
+  constexpr Index kRows = 200, kCols = 4000, kFoldRows = 150, kSteps = 12;
+  Rng rng(1501);
+  const Matrix g = monte_carlo_normal(kRows, kCols, rng);
+  ASSERT_GE(static_cast<std::size_t>(kFoldRows * kCols),
+            4 * kScanSliceWork);
+  std::vector<std::vector<Index>> rows(kFits);
+  std::vector<std::vector<Real>> f(kFits);
+  std::vector<std::unique_ptr<PathSolver>> solvers;
+  std::vector<SolverPath> reference(kFits);
+  for (int t = 0; t < kFits; ++t) {
+    std::vector<Index> order(static_cast<std::size_t>(kRows));
+    std::iota(order.begin(), order.end(), Index{0});
+    rng.shuffle(order);
+    order.resize(static_cast<std::size_t>(kFoldRows));
+    rows[static_cast<std::size_t>(t)] = std::move(order);
+    f[static_cast<std::size_t>(t)] = rng.normal_vector(kFoldRows);
+    solvers.push_back(make_path_solver(t % 2 == 0 ? Method::kOmp
+                                                  : Method::kLar));
+  }
+  const auto fit = [&](int t, const ColumnSource& source) {
+    const std::size_t i = static_cast<std::size_t>(t);
+    return solvers[i]->fit_path(source, f[i], kSteps);
+  };
+  for (int t = 0; t < kFits; ++t)
+    reference[static_cast<std::size_t>(t)] =
+        fit(t, SerialScanSource(g, rows[static_cast<std::size_t>(t)]));
+
+  std::vector<SolverPath> concurrent(kFits);
+  const auto run = [&](int t) {
+    concurrent[static_cast<std::size_t>(t)] =
+        fit(t, MaterializedSource(g, rows[static_cast<std::size_t>(t)]));
+  };
+  // The fifth fit: inside a task of the pool its own scans split across
+  // (inline when RSM_THREADS=1 leaves no pool).
+  std::atomic<bool> in_pool_done{false};
+  ThreadPool* pool = shared_pool();
+  if (pool != nullptr) {
+    pool->submit([&] {
+      try {
+        run(kFits - 1);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "fit inside the pool threw: " << e.what();
+      }
+      in_pool_done.store(true);
+    });
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kFits - 1; ++t) threads.emplace_back(run, t);
+  for (std::thread& thread : threads) thread.join();
+  if (pool == nullptr) {
+    run(kFits - 1);
+  } else {
+    while (!in_pool_done.load()) std::this_thread::yield();
+  }
+
+  for (int t = 0; t < kFits; ++t) {
+    const std::size_t i = static_cast<std::size_t>(t);
+    ASSERT_GT(reference[i].num_steps(), 1) << "fit " << t;
+    expect_same_path(concurrent[i], reference[i],
+                     std::string(solvers[i]->name()) + " fit " +
+                         std::to_string(t));
+  }
 }
 
 }  // namespace

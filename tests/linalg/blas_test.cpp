@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <numeric>
+
+#include "linalg/vector_ops.hpp"
 #include "stats/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsm {
 namespace {
@@ -47,6 +53,73 @@ TEST(Blas, GemvTransposedMatchesExplicitTranspose) {
   gemv_transposed(a, x, y1);
   gemv(a.transposed(), x, y2);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
+}
+
+/// The row-by-row axpy sweep gemv_transposed replaced; the split,
+/// register-blocked scan must reproduce it bit for bit.
+std::vector<Real> axpy_scan(const Matrix& a, std::span<const Real> x,
+                            std::span<const Index> rows) {
+  std::vector<Real> y(static_cast<std::size_t>(a.cols()), Real{0});
+  for (std::size_t i = 0; i < x.size(); ++i)
+    axpy(x[i], a.row(rows.empty() ? static_cast<Index>(i) : rows[i]), y);
+  return y;
+}
+
+// K covers the tails of the four-row blocking; M sits just below and at
+// the size where the scan splits in two (2 * kScanSliceWork multiply-adds)
+// and well above it, never on a cache-line multiple;
+// y starts on and off a cache-line boundary. Thread counts 1, 2, 3 and 7
+// are the calling thread plus 0, 1, 2 and 6 pool workers.
+TEST(Blas, GemvTransposedIsBitIdenticalToRowSweepForAnyThreadCount) {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const int workers : {1, 2, 6})
+    pools.push_back(
+        std::make_unique<ThreadPool>(ThreadPool::Options{workers, 256}));
+  Rng rng(6);
+  for (const Index k : {1, 3, 4, 5, 750}) {
+    const Index work = static_cast<Index>(kScanSliceWork);
+    const Index split = (2 * work + k - 1) / k | 1;  // fewest that split
+    for (const Index m : {split - 2, split, 7 * work / k | 1}) {
+      ASSERT_NE(m % 8, 0);
+      const Matrix whole = random_matrix(k, m, rng);
+      const Matrix a = random_matrix(k + 3, m, rng);
+      const std::vector<Real> x = rng.normal_vector(k);
+      std::vector<Index> shuffled(static_cast<std::size_t>(k + 3));
+      std::iota(shuffled.begin(), shuffled.end(), Index{0});
+      rng.shuffle(shuffled);
+      shuffled.resize(static_cast<std::size_t>(k));
+      std::vector<Real> buffer(static_cast<std::size_t>(m) + 8);
+      for (const bool listed : {false, true}) {
+        const std::span<const Index> rows =
+            listed ? std::span<const Index>(shuffled)
+                   : std::span<const Index>();
+        const Matrix& g = listed ? a : whole;
+        const std::vector<Real> expected = axpy_scan(g, x, rows);
+        for (const std::size_t offset : {0, 3}) {
+          const std::span<Real> y(buffer.data() + offset,
+                                  static_cast<std::size_t>(m));
+          for (const auto& pool : pools) {
+            std::fill(buffer.begin(), buffer.end(), Real{-1});
+            gemv_transposed(g, x, y, rows, pool.get());
+            EXPECT_EQ(std::memcmp(y.data(), expected.data(),
+                                  y.size() * sizeof(Real)),
+                          0)
+                << "K " << k << " M " << m << " listed " << listed
+                << " offset " << offset << " threads "
+                << (pool ? pool->num_workers() + 1 : 1);
+          }
+          std::fill(buffer.begin(), buffer.end(), Real{-1});
+          gemv_transposed(g, x, y, rows);
+          EXPECT_EQ(std::memcmp(y.data(), expected.data(),
+                                y.size() * sizeof(Real)),
+                    0)
+              << "K " << k << " M " << m << " listed " << listed
+              << " on the shared pool";
+        }
+      }
+    }
+  }
 }
 
 // Parameterized sweep over shapes, including block-boundary sizes.

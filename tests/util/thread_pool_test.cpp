@@ -1,12 +1,15 @@
 // Work-stealing thread pool: execution, backpressure, retirement, the
-// exception backstop, and RSM_THREADS worker-count resolution.
+// exception backstop, RSM_THREADS worker-count resolution, and the
+// parallel_for fan-out.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -299,6 +302,88 @@ TEST(ThreadPoolTest, WorkStealingKeepsManyWorkersBusy) {
   // All four workers should have participated (round-robin placement alone
   // guarantees this; stealing guarantees it even under skew).
   EXPECT_EQ(seen.size(), 4u);
+}
+
+class ParallelForTest : public ::testing::TestWithParam<int> {
+ protected:
+  [[nodiscard]] static ThreadPool::Options options() {
+    ThreadPool::Options o;
+    o.num_threads = GetParam();
+    return o;
+  }
+};
+
+TEST_P(ParallelForTest, EveryPartRunsExactlyOnce) {
+  ThreadPool pool(options());
+  for (const std::size_t count : {0, 1, 2, 200}) {
+    std::vector<std::atomic<int>> hits(count);
+    // Slow parts: workers still hold some when the caller runs out.
+    pool.parallel_for(count, [&hits](std::size_t i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      hits[i]++;
+    });
+    for (std::size_t i = 0; i < count; ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "part " << i << " of " << count;
+  }
+  pool.wait_idle();
+  EXPECT_EQ(pool.stats().task_exceptions, 0u);
+}
+
+// Every worker is inside a task that fans out, and none returns before all
+// of their fan-outs have: no helper can start, so each call completes only
+// because its caller runs every part itself.
+TEST_P(ParallelForTest, CallsFromInsideEveryBusyWorkerComplete) {
+  ThreadPool pool(options());
+  const int workers = pool.num_workers();
+  constexpr std::size_t kParts = 64;
+  std::atomic<int> arrived{0};
+  std::atomic<int> finished{0};
+  std::atomic<std::size_t> parts{0};
+  for (int w = 0; w < workers; ++w) {
+    pool.submit([&] {
+      arrived++;
+      while (arrived.load() < workers) std::this_thread::yield();
+      pool.parallel_for(kParts, [&parts](std::size_t) { parts++; });
+      finished++;
+      while (finished.load() < workers) std::this_thread::yield();
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(finished.load(), workers);
+  EXPECT_EQ(parts.load(), static_cast<std::size_t>(workers) * kParts);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, ParallelForTest,
+                         ::testing::Values(1, 2, 3, 7));
+
+TEST(ThreadPoolTest, ParallelForRethrowsAfterClaimedPartsFinish) {
+  ThreadPool::Options options;
+  options.num_threads = 3;
+  ThreadPool pool(options);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::string message;
+  try {
+    pool.parallel_for(16, [&](std::size_t i) {
+      started++;
+      if (i == 5) throw std::runtime_error("part 5 failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      finished++;
+    });
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message, "part 5 failed");
+  // Every part that started, except the one that threw, had finished when
+  // the exception reached the caller.
+  EXPECT_EQ(finished.load(), started.load() - 1);
+  pool.wait_idle();
+  EXPECT_EQ(pool.stats().task_exceptions, 0u);
+
+  // The pool is intact: the next fan-out runs every part.
+  std::atomic<int> after{0};
+  pool.parallel_for(16, [&after](std::size_t) { after++; });
+  EXPECT_EQ(after.load(), 16);
 }
 
 }  // namespace
