@@ -11,10 +11,10 @@
 // checkpointing. Ctrl-C (or SIGTERM) requests cooperative cancellation: the
 // campaign drains at its next check site, flushes the checkpoint and a
 // partial report, and exits 128+signo; a second signal exits immediately.
-// --resume replays the checkpoint (tolerating the torn trailing record a
-// crash leaves) and continues from the first unevaluated row — the resumed
-// run is bit-identical to an uninterrupted one. This is the binary CI's
-// kill-and-resume smoke job drives.
+// --resume merges the base log with the worker shards a kill leaves
+// (tolerating their torn trailing records) and evaluates only the missing
+// rows — the resumed run is bit-identical to an uninterrupted one. This is
+// the binary CI's kill-and-resume smoke job drives.
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -62,9 +62,9 @@ int main(int argc, char** argv) {
                   "smoke job kill the run mid-campaign deterministically)");
   args.add_option("threads", "0",
                   "campaign worker threads; 0 consults RSM_THREADS and "
-                  "defaults to serial. A parallel run checkpoints into "
-                  "per-worker shards that --resume merges, so the killed "
-                  "run may be resumed with any thread count");
+                  "defaults to 1. Every run checkpoints into per-worker "
+                  "shards that --resume merges, so the killed run may be "
+                  "resumed with any thread count");
   args.add_option("progress", "",
                   "append live JSONL heartbeats (rows done, rows/sec, ETA, "
                   "worker utilization) to this path; tail -f it from "

@@ -27,8 +27,8 @@ std::string bounded_reason(std::string reason) {
 }
 
 /// num_workers and worker_faults are deliberately excluded: neither changes
-/// any row's outcome, so a crashed 8-worker run may resume serially (and
-/// vice versa) without tripping the config-hash check.
+/// any row's outcome, so a crashed 8-worker run may resume with one worker
+/// (and vice versa) without tripping the config-hash check.
 io::CheckpointHeader make_header(const Matrix& samples,
                                  const CampaignOptions& options) {
   io::CheckpointHeader header;
@@ -86,7 +86,7 @@ io::CheckpointRecord record_from_outcome(Index k, const RowOutcome& out) {
 
 /// One row's full retry/escalation ladder. A pure function of the row index
 /// — fault injection, escalation, and classification never see worker
-/// identity — so serial and parallel runs produce identical outcomes.
+/// identity — so every worker count produces identical outcomes.
 RowOutcome evaluate_row(const Matrix& samples, Index k,
                         const SampleEvaluator& evaluate,
                         const CampaignOptions& options,
@@ -148,8 +148,8 @@ RowOutcome evaluate_row(const Matrix& samples, Index k,
 
 /// Accumulates one finished slot into the report — always called in row
 /// order from a single thread. Interrupted rows contribute only their
-/// partial attempt accounting (exactly as the serial engine always did);
-/// replayed rows count fully but re-emit no telemetry.
+/// partial attempt accounting; replayed rows count fully but re-emit no
+/// telemetry.
 void fold_outcome(Index k, const RowOutcome& out, CampaignReport& report,
                   std::vector<Real>& values, std::vector<Index>& survivors) {
   report.total_retries += out.retries;
@@ -176,10 +176,9 @@ void fold_outcome(Index k, const RowOutcome& out, CampaignReport& report,
 }
 
 /// The shared engine behind run_campaign (resumed == nullptr) and
-/// resume_campaign (resumed == the loaded, verified checkpoint). Dispatches
-/// to the historical serial streaming path or the sharded parallel executor
-/// depending on the resolved worker count; both paths fill the same
-/// outcome-slot array, so everything from the fold down is common.
+/// resume_campaign (resumed == the loaded, verified checkpoint). Every run,
+/// one worker included, goes through the same sharded executor, which fills
+/// a per-row outcome-slot array that is folded in row order afterwards.
 CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
                         const CampaignOptions& options,
                         const io::CheckpointData* resumed,
@@ -256,7 +255,7 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
   // asserts both. One uncontended lock per row is noise next to the
   // simulation the row just ran.
   Mutex progress_mutex{"campaign.progress", lock_rank::kCampaignProgress};
-  auto note_row = [&](const RowOutcome& out, ThreadPool* pool) {
+  auto note_row = [&](const RowOutcome& out, const ThreadPool& pool) {
     const MutexLock lock(progress_mutex);
     if (out.evaluated) {
       rows_done.fetch_add(1, std::memory_order_relaxed);
@@ -269,87 +268,21 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
     snap.rows_done = rows_done.load(std::memory_order_relaxed);
     snap.rows_succeeded = rows_succeeded.load(std::memory_order_relaxed);
     snap.rows_quarantined = rows_quarantined.load(std::memory_order_relaxed);
-    if (pool != nullptr) {
-      snap.workers = pool->num_workers();
-      snap.active_workers = pool->active_workers();
-      for (const ThreadPool::WorkerStats& ws : pool->worker_stats()) {
-        snap.busy_seconds += ws.busy_seconds;
-        snap.idle_seconds += ws.idle_seconds;
-      }
-    } else {
-      snap.workers = 1;
-      snap.active_workers = 1;
+    snap.workers = pool.num_workers();
+    snap.active_workers = pool.active_workers();
+    for (const ThreadPool::WorkerStats& ws : pool.worker_stats()) {
+      snap.busy_seconds += ws.busy_seconds;
+      snap.idle_seconds += ws.idle_seconds;
     }
     progress->maybe_emit(snap);
   };
 
-  if (workers <= 1 || pending.empty()) {
-    // Serial streaming path: one log, one durable append the moment each
-    // row finishes — unchanged from the original engine. Construction
-    // rewrites the file atomically (fresh runs get an empty log, resumes a
-    // clean row-sorted base without the torn tail); a failure here — or an
-    // append failure the writer cannot self-heal — records an I/O error and
-    // the campaign continues without durability.
-    std::unique_ptr<io::CheckpointWriter> writer;
-    auto sync_checkpoint_counters = [&] {
-      if (writer == nullptr) return;
-      report.checkpoint_records = writer->records_appended();
-      report.checkpoint_flushes = writer->flushes();
-      report.checkpoint_rewrites = writer->rewrites();
-    };
-    auto on_checkpoint_failure = [&](const IoError& e) {
-      RSM_WARN("campaign: checkpointing disabled after I/O failure: "
-               << e.what());
-      ++report.error_histogram[static_cast<std::size_t>(ErrorCode::kIoError)];
-      report.checkpoint_failed = true;
-      sync_checkpoint_counters();
-      writer.reset();
-      obs::metrics().counter("campaign.checkpoint.failures").increment();
-    };
-    if (options.checkpoint.enabled()) {
-      try {
-        writer = std::make_unique<io::CheckpointWriter>(
-            options.checkpoint, header,
-            resumed != nullptr ? resumed->records
-                               : std::vector<io::CheckpointRecord>{});
-        // The base just became the single source of truth; shards a
-        // previous (crashed parallel) run left behind are now redundant.
-        io::remove_shard_files(options.checkpoint.path);
-      } catch (const IoError& e) {
-        on_checkpoint_failure(e);
-      }
-    }
-    for (const Index k : pending) {
-      if (globally_stopped()) break;
-      RowOutcome out =
-          evaluate_row(samples, k, evaluate, options, global_deadline);
-      const bool interrupted = !out.evaluated;
-      if (out.evaluated && writer != nullptr) {
-        try {
-          writer->append(record_from_outcome(k, out));
-        } catch (const IoError& e) {
-          on_checkpoint_failure(e);
-        }
-      }
-      note_row(out, nullptr);
-      outcomes[static_cast<std::size_t>(k)] = std::move(out);
-      if (interrupted) break;
-    }
-    // Graceful shutdown: everything evaluated so far becomes durable now,
-    // whatever the flush cadence was.
-    if (writer != nullptr) {
-      try {
-        writer->flush();
-      } catch (const IoError& e) {
-        on_checkpoint_failure(e);
-      }
-    }
-    sync_checkpoint_counters();
-  } else {
-    // Sharded parallel executor: rows fan out across a work-stealing pool;
-    // worker k appends to its own checkpoint shard, and the shards are
-    // compacted back into the single row-sorted base on the way out. Only a
-    // hard kill leaves shards behind for load_sharded_checkpoint.
+  {
+    // The sharded executor, for every worker count (the block bounds its
+    // span): rows fan out across a work-stealing pool; worker k appends to
+    // its own checkpoint shard, and the shards are compacted back into the
+    // single row-sorted base on the way out. Only a hard kill leaves shards
+    // behind for load_sharded_checkpoint.
     RSM_TRACE_SPAN("campaign.parallel");
     std::atomic<bool> checkpoint_failed{false};
     std::atomic<Index> checkpoint_io_errors{0};
@@ -444,7 +377,7 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
           }
         }
         if (out.evaluated) ++shard.rows;
-        note_row(out, &pool);
+        note_row(out, pool);
         outcomes[static_cast<std::size_t>(k)] = std::move(out);
         obs::metrics().gauge("campaign.pool.queue_depth")
             .set(static_cast<double>(pool.queue_depth()));
@@ -495,7 +428,7 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
     }
 
     // Compact: the complete in-memory outcome set becomes the single
-    // row-sorted base log — byte-identical to a serial run's — and the
+    // row-sorted base log — the same bytes for any worker count — and the
     // shards disappear. This runs on success AND on graceful truncation;
     // only a hard kill skips it.
     if (checkpointing) {
@@ -525,7 +458,7 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
   }
 
   // Fold in row order: the report, survivors, and values come out identical
-  // for every execution order (serial, parallel, resumed).
+  // for every execution order (any worker count, resumed or not).
   std::vector<Real> values;
   std::vector<Index> survivors;
   values.reserve(static_cast<std::size_t>(num_samples));
@@ -735,7 +668,7 @@ CampaignResult resume_campaign(const Matrix& samples,
   RSM_CHECK_MSG(options.checkpoint.enabled(),
                 "resume_campaign needs CheckpointOptions.path");
   RSM_TRACE_SPAN("campaign.resume");
-  // Merge the base log with any shards a crashed parallel run left behind.
+  // Merge the base log with any shards a crashed run left behind.
   // Torn trailing records are the expected crash artifact everywhere;
   // mid-stream damage is salvaged in shards and fatal in the base (which is
   // only ever written atomically).

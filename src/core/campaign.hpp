@@ -24,10 +24,9 @@
 //   * with CheckpointOptions set, every completed or quarantined row is
 //     appended to a CRC-guarded log the moment it finishes, and
 //     resume_campaign replays that log — after verifying the sample-matrix
-//     and fault-plan fingerprints — and continues from the first
-//     unevaluated row. A resumed run is bit-identical to an uninterrupted
-//     one in samples, values, sample_indices, and therefore in every model
-//     fitted from them;
+//     and fault-plan fingerprints — and evaluates only the missing rows. A
+//     resumed run is bit-identical to an uninterrupted one in samples,
+//     values, sample_indices, and therefore in every model fitted from them;
 //   * a per-sample wall-clock watchdog and a global campaign time budget
 //     are enforced cooperatively: each attempt runs under a ScopedRunControl
 //     that the DC Newton loop, the transient stepper, and the greedy solver
@@ -40,18 +39,19 @@
 //     the failure is recorded (kIoError + checkpoint_failed) and the run
 //     continues without durability.
 //
-// With num_workers > 1 (or RSM_THREADS set) the rows fan out across a
-// work-stealing ThreadPool (util/thread_pool.hpp) while every contract
-// above holds. Each row's retry ladder is a pure function of the row index
-// — fault injection, escalation, and classification never depend on worker
-// identity or interleaving — and results land in per-row outcome slots
-// that are folded in row order afterwards, so the report, survivors, and
-// values are bit-identical for any worker count. Durability shards: worker
-// k appends to `<checkpoint>.shard<k>.log`, and on completion (or graceful
-// truncation) the shards are compacted back into the single row-sorted
-// base log — byte-identical to what a serial run writes. A SIGKILL leaves
-// base + shards behind; resume_campaign merges them (salvaging damaged
-// shards per io/checkpoint.hpp) and re-evaluates only the lost rows.
+// There is one executor for every worker count: the rows run on a
+// work-stealing ThreadPool (util/thread_pool.hpp) of num_workers threads,
+// one by default. Each row's retry ladder is a pure function of the row
+// index — fault injection, escalation, and classification never depend on
+// worker identity or interleaving — and results land in per-row outcome
+// slots that are folded in row order afterwards, so the report, survivors,
+// and values are bit-identical for any worker count. Durability shards:
+// worker k appends to `<checkpoint>.shard<k>.log`, and on completion (or
+// graceful truncation) the shards are compacted back into the single
+// row-sorted base log — the same bytes whatever the worker count. A
+// SIGKILL leaves base + shards behind; resume_campaign merges them
+// (salvaging damaged shards per io/checkpoint.hpp) and re-evaluates only
+// the lost rows.
 // Worker-level infrastructure faults (WorkerFaultInjector) requeue the
 // row, are charged to the executing worker, and retire workers that absorb
 // too many — the pool degrades gracefully to fewer workers, never past the
@@ -115,16 +115,17 @@ struct CampaignOptions {
   /// flushes its checkpoint and returns best-so-far, report.truncated set.
   double time_budget_seconds = 0;
 
-  /// Worker count for the parallel executor. >= 1 is taken literally; 0
-  /// consults the RSM_THREADS environment variable and defaults to 1
-  /// (serial) when unset. Results are bit-identical for any value; the
-  /// count is therefore excluded from the checkpoint config hash, so a
-  /// crashed 8-worker run may be resumed serially and vice versa.
+  /// Worker count for the executor. >= 1 is taken literally; 0 consults
+  /// the RSM_THREADS environment variable and defaults to 1 when unset.
+  /// Every count runs the same sharded executor and gives bit-identical
+  /// results; the count is therefore excluded from the checkpoint config
+  /// hash, so a crashed 8-worker run may be resumed with one worker and
+  /// vice versa.
   int num_workers = 0;
 
-  /// Worker-level infrastructure fault injection (parallel executor only;
-  /// default-constructed = disabled). Also excluded from the config hash:
-  /// infrastructure faults never change row outcomes.
+  /// Worker-level infrastructure fault injection (default-constructed =
+  /// disabled). Also excluded from the config hash: infrastructure faults
+  /// never change row outcomes.
   WorkerFaultInjector worker_faults;
 
   /// A worker that absorbs this many injected infrastructure faults is
@@ -199,7 +200,7 @@ struct CampaignReport {
   Index worker_infra_failures = 0;  // injected worker faults absorbed
   Index tasks_stolen = 0;           // pool work-stealing events
 
-  /// Pool telemetry (zeros on serial runs).
+  /// Pool telemetry from the campaign's own pool (one worker included).
   Index pool_queue_highwater = 0;       // max tasks simultaneously queued
   Index pool_backpressure_stalls = 0;   // submit() sleeps on full queues
   double pool_busy_seconds = 0;         // inside tasks, summed over workers

@@ -130,6 +130,58 @@ constexpr std::size_t kEvalBlock = 64;
 
 }  // namespace
 
+// Column layout: for active-variable slot s, orders 1..max_order occupy
+// kEvalBlock-wide columns starting at (plan_var_offset_[s] - s). Order 0 is
+// never materialized — multi-index factors always have order >= 1 and the
+// recurrence only needs the constant 1 at its first step.
+std::size_t SparseModel::column_offset(PlanFactor pf) const {
+  return (plan_var_offset_[pf.slot] - pf.slot +
+          static_cast<std::size_t>(pf.order - 1)) *
+         kEvalBlock;
+}
+
+template <class Body>
+void SparseModel::for_each_block(std::span<const Real> samples, Index rows,
+                                 const Body& body) const {
+  const std::size_t cols =
+      static_cast<std::size_t>(dictionary().num_variables());
+  const std::size_t num_slots = plan_vars_.size();
+  thread_local std::vector<Real> table;
+  const std::size_t needed = (plan_table_size_ - num_slots) * kEvalBlock;
+  if (table.size() < needed) table.resize(needed);
+  Real* tab = table.data();
+
+  for (Index r0 = 0; r0 < rows; r0 += static_cast<Index>(kEvalBlock)) {
+    const std::size_t bsz = std::min(
+        kEvalBlock, static_cast<std::size_t>(rows - r0));
+    // Fill the order columns by the vector form of the same normalized
+    // recurrence hermite_normalized_all runs per sample — elementwise the
+    // arithmetic is identical, so every table entry is bit-identical to the
+    // scalar path's.
+    const Real* block = samples.data() + static_cast<std::size_t>(r0) * cols;
+    for (std::size_t s = 0; s < num_slots; ++s) {
+      const std::size_t v = static_cast<std::size_t>(plan_vars_[s]);
+      Real* g1 = tab + column_offset({static_cast<std::uint32_t>(s), 1});
+      for (std::size_t b = 0; b < bsz; ++b) g1[b] = block[b * cols + v];
+      for (int k = 1; k < plan_var_max_order_[s]; ++k) {
+        const Real sk = std::sqrt(static_cast<Real>(k));
+        const Real sk1 = std::sqrt(static_cast<Real>(k + 1));
+        Real* gk = g1 + static_cast<std::size_t>(k - 1) * kEvalBlock;
+        Real* gn = gk + kEvalBlock;
+        if (k == 1) {
+          for (std::size_t b = 0; b < bsz; ++b)
+            gn[b] = (g1[b] * gk[b] - sk * Real{1}) / sk1;
+        } else {
+          const Real* gp = gk - kEvalBlock;
+          for (std::size_t b = 0; b < bsz; ++b)
+            gn[b] = (g1[b] * gk[b] - sk * gp[b]) / sk1;
+        }
+      }
+    }
+    body(static_cast<const Real*>(tab), r0, bsz);
+  }
+}
+
 void SparseModel::predict_batch(const Matrix& samples,
                                 std::span<Real> out) const {
   RSM_CHECK(static_cast<Index>(out.size()) == samples.rows());
@@ -149,53 +201,11 @@ void SparseModel::predict_batch(std::span<const Real> samples, Index rows,
   RSM_CHECK(static_cast<Index>(out.size()) == rows);
   std::fill(out.begin(), out.end(), Real{0});
   if (terms_.empty()) return;
-  const Index cols = dictionary().num_variables();
-  RSM_CHECK(static_cast<Index>(samples.size()) == rows * cols);
-  const Real* data = samples.data();
+  RSM_CHECK(static_cast<Index>(samples.size()) ==
+            rows * dictionary().num_variables());
 
-  // Column layout: for active-variable slot s, orders 1..max_order occupy
-  // kEvalBlock-wide columns starting at (plan_var_offset_[s] - s). Order 0
-  // is never materialized — multi-index factors always have order >= 1 and
-  // the recurrence only needs the constant 1 at its first step.
-  const std::size_t num_slots = plan_vars_.size();
-  thread_local std::vector<Real> table;
-  const std::size_t needed = (plan_table_size_ - num_slots) * kEvalBlock;
-  if (table.size() < needed) table.resize(needed);
-  Real* tab = table.data();
-  const auto column = [&](const PlanFactor& pf) {
-    return tab + (plan_var_offset_[pf.slot] - pf.slot +
-                  static_cast<std::size_t>(pf.order - 1)) *
-                     kEvalBlock;
-  };
-
-  for (Index r0 = 0; r0 < rows; r0 += static_cast<Index>(kEvalBlock)) {
-    const std::size_t bsz = std::min(
-        kEvalBlock, static_cast<std::size_t>(rows - r0));
-    // Fill the order columns by the vector form of the same normalized
-    // recurrence hermite_normalized_all runs per sample — elementwise the
-    // arithmetic is identical, so every table entry is bit-identical to the
-    // scalar path's.
-    const Real* block = data + static_cast<std::size_t>(r0 * cols);
-    for (std::size_t s = 0; s < num_slots; ++s) {
-      const std::size_t v = static_cast<std::size_t>(plan_vars_[s]);
-      Real* g1 = tab + (plan_var_offset_[s] - s) * kEvalBlock;
-      for (std::size_t b = 0; b < bsz; ++b)
-        g1[b] = block[b * static_cast<std::size_t>(cols) + v];
-      for (int k = 1; k < plan_var_max_order_[s]; ++k) {
-        const Real sk = std::sqrt(static_cast<Real>(k));
-        const Real sk1 = std::sqrt(static_cast<Real>(k + 1));
-        Real* gk = g1 + static_cast<std::size_t>(k - 1) * kEvalBlock;
-        Real* gn = gk + kEvalBlock;
-        if (k == 1) {
-          for (std::size_t b = 0; b < bsz; ++b)
-            gn[b] = (g1[b] * gk[b] - sk * Real{1}) / sk1;
-        } else {
-          const Real* gp = gk - kEvalBlock;
-          for (std::size_t b = 0; b < bsz; ++b)
-            gn[b] = (g1[b] * gk[b] - sk * gp[b]) / sk1;
-        }
-      }
-    }
+  for_each_block(samples, rows, [&](const Real* tab, Index r0,
+                                    std::size_t bsz) {
     // Accumulate terms in declaration order with the scalar product order.
     // The 0- and 1-factor fast paths are exact rewrites: c * 1 == c and
     // 1 * g == g bit-exactly in IEEE arithmetic.
@@ -208,65 +218,36 @@ void SparseModel::predict_batch(std::span<const Real> samples, Index rows,
       if (f1 == f0) {
         for (std::size_t b = 0; b < bsz; ++b) acc[b] += c;
       } else if (f1 == f0 + 1) {
-        const Real* g = column(plan_factors_[f0]);
+        const Real* g = tab + column_offset(plan_factors_[f0]);
         for (std::size_t b = 0; b < bsz; ++b) acc[b] += c * g[b];
       } else {
-        const Real* g = column(plan_factors_[f0]);
+        const Real* g = tab + column_offset(plan_factors_[f0]);
         for (std::size_t b = 0; b < bsz; ++b) prod[b] = g[b];
         for (std::size_t f = f0 + 1; f < f1; ++f) {
-          const Real* gf = column(plan_factors_[f]);
+          const Real* gf = tab + column_offset(plan_factors_[f]);
           for (std::size_t b = 0; b < bsz; ++b) prod[b] *= gf[b];
         }
         for (std::size_t b = 0; b < bsz; ++b) acc[b] += c * prod[b];
       }
     }
-  }
+  });
 }
 
-Matrix SparseModel::gradient_batch(const Matrix& samples) const {
-  const Index n = dictionary().num_variables();
-  RSM_CHECK(samples.cols() == n);
-  Matrix grad(samples.rows(), n);
-  if (terms_.empty()) return grad;
+void SparseModel::gradient_rows(std::span<const Real> samples, Index rows,
+                                std::span<Real> grad) const {
+  const std::size_t n =
+      static_cast<std::size_t>(dictionary().num_variables());
+  RSM_CHECK(samples.size() == static_cast<std::size_t>(rows) * n);
+  RSM_CHECK(grad.size() == samples.size());
+  if (terms_.empty()) return;
 
-  const std::size_t num_slots = plan_vars_.size();
-  thread_local std::vector<Real> table;
-  const std::size_t needed = (plan_table_size_ - num_slots) * kEvalBlock;
-  if (table.size() < needed) table.resize(needed);
-  Real* tab = table.data();
-  const auto column = [&](const PlanFactor& pf) {
-    return tab + (plan_var_offset_[pf.slot] - pf.slot +
-                  static_cast<std::size_t>(pf.order - 1)) *
-                     kEvalBlock;
-  };
-
-  const Index rows = samples.rows();
-  for (Index r0 = 0; r0 < rows; r0 += static_cast<Index>(kEvalBlock)) {
-    const std::size_t bsz = std::min(
-        kEvalBlock, static_cast<std::size_t>(rows - r0));
-    for (std::size_t s = 0; s < num_slots; ++s) {
-      const Index v = plan_vars_[s];
-      Real* g1 = tab + (plan_var_offset_[s] - s) * kEvalBlock;
-      for (std::size_t b = 0; b < bsz; ++b)
-        g1[b] = samples(r0 + static_cast<Index>(b), v);
-      for (int k = 1; k < plan_var_max_order_[s]; ++k) {
-        const Real sk = std::sqrt(static_cast<Real>(k));
-        const Real sk1 = std::sqrt(static_cast<Real>(k + 1));
-        Real* gk = g1 + static_cast<std::size_t>(k - 1) * kEvalBlock;
-        Real* gn = gk + kEvalBlock;
-        if (k == 1) {
-          for (std::size_t b = 0; b < bsz; ++b)
-            gn[b] = (g1[b] * gk[b] - sk * Real{1}) / sk1;
-        } else {
-          const Real* gp = gk - kEvalBlock;
-          for (std::size_t b = 0; b < bsz; ++b)
-            gn[b] = (g1[b] * gk[b] - sk * gp[b]) / sk1;
-        }
-      }
-    }
-    // Mirror the scalar gradient exactly: per term, differentiate one factor
-    // (sqrt(o) g_{o-1}, where g_0 == 1 needs no column), keep the others in
-    // their stored order, skip when the derivative factor is exactly zero.
+  for_each_block(samples, rows, [&](const Real* tab, Index r0,
+                                    std::size_t bsz) {
+    Real* block_grad = grad.data() + static_cast<std::size_t>(r0) * n;
+    // d/d y_v of prod_i g_{o_i}(y_{v_i}): per term, differentiate one factor
+    // (g_o' = sqrt(o) g_{o-1}, where g_0 == 1 needs no column), keep the
+    // others in their stored order, and skip when the partial is exactly
+    // zero.
     for (std::size_t i = 0; i < terms_.size(); ++i) {
       const Real c = terms_[i].coefficient;
       const std::size_t f0 = plan_term_begin_[i];
@@ -275,50 +256,38 @@ Matrix SparseModel::gradient_batch(const Matrix& samples) const {
         const PlanFactor& pd = plan_factors_[d];
         const Real sq = std::sqrt(static_cast<Real>(pd.order));
         const Real* gm1 =
-            pd.order >= 2
-                ? column({pd.slot, pd.order - 1})
-                : nullptr;
-        const Index var_d = plan_vars_[pd.slot];
+            pd.order >= 2 ? tab + column_offset({pd.slot, pd.order - 1})
+                          : nullptr;
+        const std::size_t var_d = static_cast<std::size_t>(plan_vars_[pd.slot]);
         for (std::size_t b = 0; b < bsz; ++b) {
           const Real der = pd.order == 1 ? sq : sq * gm1[b];
           Real partial = c * der;
           if (partial == Real{0}) continue;
           for (std::size_t o = f0; o < f1; ++o) {
             if (o == d) continue;
-            partial *= column(plan_factors_[o])[b];
+            partial *= tab[column_offset(plan_factors_[o]) + b];
           }
-          grad(r0 + static_cast<Index>(b), var_d) += partial;
+          block_grad[b * n + var_d] += partial;
         }
       }
     }
-  }
+  });
+}
+
+Matrix SparseModel::gradient_batch(const Matrix& samples) const {
+  RSM_CHECK(samples.cols() == dictionary().num_variables());
+  Matrix grad(samples.rows(), samples.cols());
+  gradient_rows(
+      std::span<const Real>(samples.data(),
+                            static_cast<std::size_t>(samples.size())),
+      samples.rows(),
+      std::span<Real>(grad.data(), static_cast<std::size_t>(grad.size())));
   return grad;
 }
 
 std::vector<Real> SparseModel::gradient(std::span<const Real> sample) const {
-  const Index n = dictionary().num_variables();
-  RSM_CHECK(static_cast<Index>(sample.size()) == n);
-  std::vector<Real> grad(static_cast<std::size_t>(n), Real{0});
-  for (const ModelTerm& t : terms_) {
-    const MultiIndex& mi = dictionary().index(t.basis_index);
-    const auto& terms = mi.terms();
-    // d/d y_v of prod_i g_{o_i}(y_{v_i}): differentiate one factor, keep
-    // the others.
-    for (std::size_t d = 0; d < terms.size(); ++d) {
-      Real partial = t.coefficient *
-                     hermite_normalized_derivative(
-                         terms[d].order,
-                         sample[static_cast<std::size_t>(terms[d].variable)]);
-      if (partial == Real{0}) continue;
-      for (std::size_t o = 0; o < terms.size(); ++o) {
-        if (o == d) continue;
-        partial *= hermite_normalized(
-            terms[o].order,
-            sample[static_cast<std::size_t>(terms[o].variable)]);
-      }
-      grad[static_cast<std::size_t>(terms[d].variable)] += partial;
-    }
-  }
+  std::vector<Real> grad(sample.size(), Real{0});
+  gradient_rows(sample, 1, grad);
   return grad;
 }
 

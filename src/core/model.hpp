@@ -57,7 +57,8 @@ class SparseModel {
 
   /// Analytic gradient df/d(dY) at a sample point, via the Hermite
   /// derivative identity g_n' = sqrt(n) g_{n-1}. O(lambda * terms-per-index)
-  /// — the sensitivity vector behind worst-case corner search.
+  /// — the sensitivity vector behind worst-case corner search. The one-row
+  /// case of gradient_batch's engine.
   [[nodiscard]] std::vector<Real> gradient(std::span<const Real> sample) const;
 
   /// Predictions for each row of `samples`.
@@ -79,8 +80,9 @@ class SparseModel {
                      std::span<Real> out) const;
 
   /// Gradients for each row of `samples`: returns a K x num_variables
-  /// matrix whose row k is `gradient(samples.row(k))`, bit-identical to the
-  /// scalar path (same per-factor product order, same skip-on-zero rule).
+  /// matrix whose row k is `gradient(samples.row(k))` — per term, one factor
+  /// differentiated, the others multiplied in stored order, exactly-zero
+  /// partials skipped.
   [[nodiscard]] Matrix gradient_batch(const Matrix& samples) const;
 
   /// Analytic mean of the model under dY ~ N(0, I): the coefficient of the
@@ -127,6 +129,25 @@ class SparseModel {
   /// flattened per-term factor list. Called from the constructor so every
   /// model (fit, loaded, refit) carries its plan.
   void build_plan();
+
+  /// The block engine behind predict_batch and gradient_rows: for each
+  /// block of up to kEvalBlock rows of the row-major `samples`, fills the
+  /// order columns (orders 1..max_order of every active variable) by the
+  /// batched Hermite recurrence, then calls body(table, first_row, rows).
+  /// The one copy of that recurrence; a template so the fill and the body
+  /// compile into one loop.
+  template <class Body>
+  void for_each_block(std::span<const Real> samples, Index rows,
+                      const Body& body) const;
+
+  /// Offset of factor `pf`'s order column in that table.
+  [[nodiscard]] std::size_t column_offset(PlanFactor pf) const;
+
+  /// The gradient engine: adds the gradient of each of the `rows` row-major
+  /// samples into the matching row of `grad` (same size, zeroed by the
+  /// caller).
+  void gradient_rows(std::span<const Real> samples, Index rows,
+                     std::span<Real> grad) const;
 
   std::shared_ptr<const BasisDictionary> dictionary_;
   std::vector<ModelTerm> terms_;

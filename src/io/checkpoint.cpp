@@ -346,9 +346,10 @@ CheckpointData load_sharded_checkpoint(const std::string& base,
   const std::vector<std::string> shards = find_shard_paths(base);
   merge.shards_found = static_cast<int>(shards.size());
 
-  // The base log is written atomically (old-or-new, never a prefix), so
-  // anything beyond the recoverable torn tail of an interrupted *serial*
-  // append stream means the storage broke its contract: refuse loudly.
+  // The base log is written atomically (old-or-new, never a prefix). A torn
+  // trailing record, the crash artifact of a log appended in place, is
+  // still recoverable; anything beyond it means the storage broke its
+  // contract: refuse loudly.
   CheckpointData merged;
   bool have_header = false;
   if (file_exists(base)) {

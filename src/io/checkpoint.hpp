@@ -13,16 +13,18 @@
 // appended per campaign row — kSample {row, value bits, attempts, failed
 // attempt codes} for survivors, kQuarantine {row, code, attempts, failed
 // attempt codes, reason} for permanently failed rows — and fsync'd every
-// `flush_every` records, so the log is a durable prefix of the campaign at
-// all times. Version 2 added the per-attempt failure codes: replaying a
-// record reconstructs the campaign's error histogram exactly, which is what
-// lets a resumed report be byte-identical to an uninterrupted one.
+// `flush_every` records, so the logs hold every finished row at all times.
+// Version 2 added the per-attempt failure codes: replaying a record
+// reconstructs the campaign's error histogram exactly, which is what lets a
+// resumed report be byte-identical to an uninterrupted one.
 //
-// A serial campaign appends to one log in row order. A parallel campaign
-// gives worker k its own shard — `<base>.shard<k>.log`, same format, same
-// header — and rewrites the single base log from the merged, row-sorted
-// record set on completion, so a finished parallel run leaves the same
-// bytes a serial run would. Only a crash leaves shards behind;
+// A campaign, whatever its worker count, gives worker k its own shard —
+// `<base>.shard<k>.log`, same format, same header — in which it appends
+// records in completion order. The single base log is only ever replaced
+// atomically: at the start with the replayed records (header only on a
+// fresh run), and on completion or graceful truncation with the merged,
+// row-sorted record set, so a finished run leaves the same bytes for any
+// worker count. Only a crash leaves shards behind;
 // load_sharded_checkpoint() merges them back (tolerating per-shard damage)
 // for resume.
 //
@@ -119,9 +121,9 @@ enum class LoadMode {
 [[nodiscard]] CheckpointData load_checkpoint(const std::string& path,
                                              LoadMode mode = LoadMode::kStrict);
 
-// ---- sharded checkpoints (parallel campaigns) -----------------------------
+// ---- sharded checkpoints ---------------------------------------------------
 
-/// The checkpoint shard worker `k` of a parallel campaign appends to:
+/// The checkpoint shard worker `k` of a campaign appends to:
 /// `<base>.shard<k>.log`, next to the base log at `<base>`.
 [[nodiscard]] std::string shard_path(const std::string& base, int shard);
 
@@ -147,14 +149,14 @@ struct ShardMergeOutcome {
   bool base_loaded = false;   // the single base log contributed records
 };
 
-/// Loads the base log and every shard a (possibly crashed, possibly
-/// parallel) campaign left at `base`, merges them into one row-sorted,
-/// duplicate-free record set under the base's verified header, and reports
-/// what it met. The base is held to the serial contract (torn tail
-/// recoverable, anything else fatal — it is written atomically, so
-/// mid-file damage means the storage itself lied); shards are crash
-/// artifacts and are salvaged per LoadMode::kSalvage, dropped whole only
-/// when their header is unreadable or belongs to a different campaign.
+/// Loads the base log and every shard a (possibly crashed) campaign left
+/// at `base`, merges them into one row-sorted, duplicate-free record set
+/// under the base's verified header, and reports what it met. The base is
+/// loaded as LoadMode::kRecoverTail (torn tail recoverable, anything else
+/// fatal — it is written atomically, so mid-file damage means the storage
+/// itself lied); shards are crash artifacts and are salvaged per
+/// LoadMode::kSalvage, dropped whole only when their header is unreadable
+/// or belongs to a different campaign.
 /// Throws IoError when neither the base nor any shard yields a verified
 /// header, or when a record's row index exceeds the header's total_rows.
 [[nodiscard]] CheckpointData load_sharded_checkpoint(

@@ -1,5 +1,6 @@
 #include "serve/model_codec.hpp"
 
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -75,6 +76,12 @@ std::string encode_model(const SparseModel& model) {
 
   put_u32(out, static_cast<std::uint32_t>(model.num_terms()));
   for (const ModelTerm& t : model.terms()) {
+    if (!std::isfinite(t.coefficient)) {
+      std::ostringstream os;
+      os << "model codec: coefficient of basis index " << t.basis_index
+         << " is " << t.coefficient << "; refusing to encode";
+      throw NumericalDomainError(os.str(), "model_codec");
+    }
     put_u32(out, static_cast<std::uint32_t>(t.basis_index));
     put_real(out, t.coefficient);
   }
@@ -125,6 +132,8 @@ SparseModel decode_model(std::string_view bytes) {
     if (t.basis_index >= dictionary.size())
       throw IoError("model file: term references basis index beyond "
                     "dictionary size");
+    if (!std::isfinite(t.coefficient))
+      throw IoError("model file: non-finite coefficient");
     terms.push_back(t);
   }
   in.expect_done();

@@ -20,10 +20,12 @@
 //   crc        u32      CRC32 of every preceding byte
 //
 // Failure modes are disjoint by design: truncation / bad magic / CRC
-// mismatch / structural nonsense decode as IoError ("the bytes are not a
-// model"), while an unknown format version or a fingerprint that does not
-// match the embedded dictionary decode as VersionMismatchError ("a model,
-// but not one this build/caller can honor"). Nothing ever half-loads.
+// mismatch / structural nonsense / a NaN or Inf coefficient decode as
+// IoError ("the bytes are not a model"), while an unknown format version or
+// a fingerprint that does not match the embedded dictionary decode as
+// VersionMismatchError ("a model, but not one this build/caller can
+// honor"). Nothing ever half-loads. Encoding refuses a non-finite
+// coefficient with NumericalDomainError, so no such artifact is written.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +45,8 @@ inline constexpr std::string_view kModelMagic = "RSMMODL\n";
 [[nodiscard]] std::uint64_t dictionary_fingerprint(
     const BasisDictionary& dictionary);
 
-/// Serializes model + dictionary metadata into the layout above.
+/// Serializes model + dictionary metadata into the layout above. Throws
+/// NumericalDomainError when a coefficient is NaN or Inf.
 [[nodiscard]] std::string encode_model(const SparseModel& model);
 
 /// Decodes an encode_model artifact, rebuilding the dictionary. Throws

@@ -46,7 +46,8 @@ class ModelRegistry {
   /// Serializes and durably stores `model` as the next version of `name`;
   /// returns the assigned version (1 for a new name). Model names are
   /// restricted to [A-Za-z0-9._-] minus leading dots, so a name can never
-  /// escape the registry root.
+  /// escape the registry root. A NaN or Inf coefficient throws
+  /// NumericalDomainError and writes nothing.
   std::uint32_t save(const std::string& name, const SparseModel& model);
 
   /// Loads (name, version); version 0 loads the latest. When

@@ -48,8 +48,8 @@ namespace rsm {
 /// Shared worker-count resolution: `requested >= 1` is taken literally;
 /// `requested == 0` means "auto" — the RSM_THREADS environment variable
 /// when it holds a positive integer, otherwise `fallback`. The campaign
-/// layer passes fallback = 1 (serial stays the default), the pool passes
-/// the hardware concurrency.
+/// layer passes fallback = 1 (one worker stays the default), the pool
+/// passes the hardware concurrency.
 [[nodiscard]] int resolve_num_workers(int requested, int fallback);
 
 class ThreadPool {

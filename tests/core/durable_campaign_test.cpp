@@ -1,6 +1,7 @@
 // Durable campaign layer: crash-safe checkpointing, the resume determinism
 // pin (interrupt-at-k + resume == uninterrupted, bit for bit), cooperative
 // deadlines, graceful truncation, and checkpoint I/O failure resilience.
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -120,6 +121,9 @@ TEST(DurableCampaignTest, ResumeAfterInterruptIsBitIdentical) {
   base.max_attempts = 2;
   base.min_success_fraction = 0.5;
   base.fault_injector = FaultInjector(mixed_fault_plan());
+  // One worker: the interruption point below is "row k and nothing after
+  // it", which only a single in-order worker guarantees.
+  base.num_workers = 1;
   const CampaignResult uninterrupted =
       run_campaign(samples, pure_evaluator(), base);
   ASSERT_GT(uninterrupted.report.quarantined.size(), 0u)
@@ -202,9 +206,9 @@ TEST(DurableCampaignTest, ResumeRecoversTornTail) {
 
   CancellationSource source;
   options.cancel = source.token();
-  Index evaluated = 0;
+  std::atomic<Index> evaluated{0};  // workers may evaluate rows concurrently
   const SampleEvaluator interrupting = [&](std::span<const Real> x, int) {
-    if (evaluated++ == 5) source.request_cancel();
+    if (evaluated.fetch_add(1) == 5) source.request_cancel();
     return row_metric(x);
   };
   (void)run_campaign(samples, interrupting, options);
@@ -310,6 +314,9 @@ TEST(DurableCampaignTest, GlobalBudgetReturnsBestSoFarTruncated) {
   CampaignOptions options;
   options.checkpoint.path = test_path("budget.ckpt");
   options.time_budget_seconds = 0.05;
+  // One worker: ten 15 ms rows spread over W workers fit a 50 ms budget
+  // once W >= 3, and then nothing is left to truncate.
+  options.num_workers = 1;
 
   // Every sample costs ~15ms of cooperative work: the budget admits a few
   // rows, then the next check site unwinds and the campaign drains.
@@ -360,6 +367,9 @@ TEST(DurableCampaignTest, WriterSelfHealKeepsLogLoadable) {
   const Matrix samples = make_samples();
   CampaignOptions options;
   options.checkpoint.path = test_path("self_heal.ckpt");
+  // One worker, so all kRows appends go through one shard writer and meet
+  // the fault schedule below.
+  options.num_workers = 1;
   // A schedule whose first fault hits an append (op >= 1), so recovery
   // rewrites (whose fresh files restart at op 0) always succeed.
   bool found = false;

@@ -1,10 +1,11 @@
 // Bit-identity contract of the batched evaluation engine (and of the
-// memoized scalar path it shares a plan with): predict_batch and
-// gradient_batch must reproduce predict/gradient bit for bit, and predict
-// itself must reproduce the pre-memoization reference arithmetic — a
-// term-by-term sum of coefficient * per-factor Hermite products. The
-// serving layer advertises "same model, same bits" across the registry
-// round trip and the scalar/batched split; these tests are that claim.
+// memoized scalar path it shares a plan with): predict_batch must reproduce
+// predict bit for bit, predict itself must reproduce the pre-memoization
+// reference arithmetic — a term-by-term sum of coefficient * per-factor
+// Hermite products — and gradient/gradient_batch must reproduce the
+// factor-by-factor reference gradient. The serving layer advertises "same
+// model, same bits" across the registry round trip and the scalar/batched
+// split; these tests are that claim.
 #include "core/model.hpp"
 
 #include <bit>
@@ -40,6 +41,32 @@ Real reference_predict(const SparseModel& model, std::span<const Real> x) {
     sum += term.coefficient * product;
   }
   return sum;
+}
+
+/// The reference gradient, independent of the block engine: per term,
+/// differentiate one factor with hermite_normalized_derivative, multiply the
+/// others (hermite_normalized) in stored order, skip an exactly-zero
+/// partial, and accumulate terms in declaration order.
+std::vector<Real> reference_gradient(const SparseModel& model,
+                                     std::span<const Real> x) {
+  std::vector<Real> grad(x.size(), Real{0});
+  for (const ModelTerm& term : model.terms()) {
+    const auto& factors = model.dictionary().index(term.basis_index).terms();
+    for (std::size_t d = 0; d < factors.size(); ++d) {
+      Real partial =
+          term.coefficient *
+          hermite_normalized_derivative(
+              factors[d].order, x[static_cast<std::size_t>(factors[d].variable)]);
+      if (partial == Real{0}) continue;
+      for (std::size_t o = 0; o < factors.size(); ++o) {
+        if (o == d) continue;
+        partial *= hermite_normalized(
+            factors[o].order, x[static_cast<std::size_t>(factors[o].variable)]);
+      }
+      grad[static_cast<std::size_t>(factors[d].variable)] += partial;
+    }
+  }
+  return grad;
 }
 
 /// A model touching the interesting plan shapes: the constant (no factors),
@@ -116,10 +143,15 @@ TEST(ModelBatch, GradientBatchBitIdenticalToScalar) {
     ASSERT_EQ(grads.rows(), rows);
     ASSERT_EQ(grads.cols(), 5);
     for (Index r = 0; r < rows; ++r) {
+      const std::vector<Real> want = reference_gradient(model, samples.row(r));
       const std::vector<Real> scalar = model.gradient(samples.row(r));
-      for (Index j = 0; j < 5; ++j)
-        ASSERT_TRUE(same_bits(grads(r, j), scalar[static_cast<std::size_t>(j)]))
+      for (Index j = 0; j < 5; ++j) {
+        const std::size_t sj = static_cast<std::size_t>(j);
+        ASSERT_TRUE(same_bits(grads(r, j), want[sj]))
             << "rows=" << rows << " r=" << r << " j=" << j;
+        ASSERT_TRUE(same_bits(scalar[sj], want[sj]))
+            << "rows=" << rows << " r=" << r << " j=" << j;
+      }
     }
   }
 }

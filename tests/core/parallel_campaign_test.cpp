@@ -87,7 +87,8 @@ void expect_bit_identical(const CampaignResult& a, const CampaignResult& b) {
 
 /// The scientific half of a report — everything the byte-identical-resume
 /// contract covers. Durability and scheduling counters legitimately differ
-/// between serial/parallel/resumed runs and are zeroed out.
+/// between worker counts and between fresh and resumed runs, and are zeroed
+/// out.
 std::string science_json(CampaignReport report) {
   report.resumed_samples = 0;
   report.checkpoint_records = 0;
@@ -151,8 +152,8 @@ TEST(ParallelCampaignTest, FreshParallelRunCompactsToSerialLogBytes) {
   EXPECT_EQ(result.report.checkpoint_records, kRows);
   EXPECT_FALSE(result.report.checkpoint_failed);
 
-  // A finished parallel run leaves no shards and a base log byte-identical
-  // to what the serial streaming writer produced.
+  // A finished four-worker run leaves no shards and a base log
+  // byte-identical to the reference run's.
   EXPECT_TRUE(io::find_shard_paths(parallel_options.checkpoint.path).empty());
   EXPECT_EQ(io::read_file_bytes(parallel_options.checkpoint.path),
             io::read_file_bytes(serial_options.checkpoint.path));
@@ -165,7 +166,7 @@ TEST(ParallelCampaignTest, KilledParallelRunResumesByteIdentical) {
   options.min_success_fraction = 0.5;
   options.fault_injector = FaultInjector(mixed_fault_plan());
 
-  // Uninterrupted serial reference with its streaming log.
+  // Uninterrupted reference run and its compacted log.
   CampaignOptions reference_options = options;
   reference_options.checkpoint.path = test_path("kill_reference.ckpt");
   const CampaignResult reference =
@@ -233,8 +234,8 @@ TEST(ParallelCampaignTest, KilledParallelRunResumesByteIdentical) {
   EXPECT_FALSE(resumed.report.truncated);
 
   // The acceptance pin: final report and survivor data byte-identical to
-  // the uninterrupted serial run, and the compacted log byte-identical to
-  // the serial streaming log. No shards survive.
+  // the uninterrupted run, and the compacted log byte-identical to its log.
+  // No shards survive.
   expect_bit_identical(resumed, reference);
   EXPECT_EQ(science_json(resumed.report), science_json(reference.report));
   EXPECT_TRUE(io::find_shard_paths(path).empty());

@@ -145,6 +145,25 @@ TEST(ModelCodec, FingerprintTamperIsVersionMismatch) {
   EXPECT_THROW((void)decode_model(bytes), VersionMismatchError);
 }
 
+TEST(ModelCodec, NonFiniteCoefficientsNeverEncodeOrDecode) {
+  auto dict = std::make_shared<BasisDictionary>(BasisDictionary::linear(2));
+  for (const Real bad : {std::numeric_limits<Real>::quiet_NaN(),
+                         std::numeric_limits<Real>::infinity(),
+                         -std::numeric_limits<Real>::infinity()}) {
+    EXPECT_THROW((void)encode_model(SparseModel(dict, {{0, 1.5}, {2, bad}})),
+                 NumericalDomainError);
+
+    // A foreign artifact with a valid CRC: patch the last coefficient (the
+    // 8 bytes before the trailing CRC) and re-seal it. It must fail closed
+    // like a bit flip.
+    std::string bytes = encode_model(SparseModel(dict, {{0, 1.5}, {2, -2.5}}));
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(bad);
+    std::memcpy(bytes.data() + bytes.size() - 12, &bits, 8);
+    fix_crc(bytes);
+    EXPECT_THROW((void)decode_model(bytes), IoError) << bad;
+  }
+}
+
 TEST(ModelCodec, FingerprintDistinguishesDictionaries) {
   const BasisDictionary a = BasisDictionary::linear(4);
   const BasisDictionary b = BasisDictionary::linear(5);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -179,6 +180,23 @@ TEST(ModelRegistry, InjectedWriteFaultsFailClosedAndLeaveNoPartial) {
   ModelRegistry recovered(root);
   EXPECT_EQ(recovered.save("m", make_model(3, 1)), 1u);
   EXPECT_EQ(recovered.load("m").dictionary().num_variables(), 3);
+}
+
+TEST(ModelRegistry, NonFiniteCoefficientNeverPublishes) {
+  const std::string root = fresh_root("non_finite");
+  ModelRegistry registry(root);
+  ASSERT_EQ(registry.save("m", make_model(3, 1)), 1u);
+  const std::uint64_t before = registry.state_fingerprint();
+
+  auto dict = std::make_shared<BasisDictionary>(BasisDictionary::linear(3));
+  const SparseModel poisoned(
+      dict, {{0, 1.0}, {2, std::numeric_limits<Real>::quiet_NaN()}});
+  EXPECT_THROW(registry.save("m", poisoned), NumericalDomainError);
+  // Nothing was written: the latest version and the listing are unchanged.
+  EXPECT_EQ(registry.latest_version("m"), 1u);
+  EXPECT_EQ(registry.list().size(), 1u);
+  EXPECT_EQ(registry.state_fingerprint(), before);
+  EXPECT_EQ(registry.load("m").num_terms(), make_model(3, 1).num_terms());
 }
 
 TEST(ModelRegistry, StateFingerprintTracksPublishesOnly) {
