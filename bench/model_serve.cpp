@@ -43,11 +43,11 @@
 #include <vector>
 
 #include "common.hpp"
+#include "io/wire.hpp"
 #include "serve/model_codec.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
-#include "serve/wire.hpp"
 #include "stats/lhs.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -303,10 +303,10 @@ int main(int argc, char** argv) {
   };
 
   std::string eval_payload;
-  serve::put_bytes(eval_payload, "srv");
-  serve::put_u32(eval_payload, 0);  // version 0 = latest
-  serve::put_u32(eval_payload, static_cast<std::uint32_t>(n));
-  for (Index j = 0; j < n; ++j) serve::put_real(eval_payload, 0);
+  io::put_bytes(eval_payload, "srv");
+  io::put_u32(eval_payload, 0);  // version 0 = latest
+  io::put_u32(eval_payload, static_cast<std::uint32_t>(n));
+  for (Index j = 0; j < n; ++j) io::put_real(eval_payload, 0);
   const std::string eval_frame =
       serve::encode_frame(serve::MessageType::kEvalRequest, eval_payload);
 
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
   while (auto f = serve::try_extract_frame(burst_rx)) {
     if (f->type == serve::MessageType::kListModelsResponse) ++burst_answered;
     if (f->type == serve::MessageType::kErrorResponse) {
-      serve::WireReader in(f->payload, "error frame");
+      io::WireReader in(f->payload, "error frame");
       const std::uint8_t code = in.u8();
       (void)in.bytes();  // message
       if (code == static_cast<std::uint8_t>(ErrorCode::kOverloaded)) {
@@ -374,7 +374,7 @@ int main(int argc, char** argv) {
     pump(healthy_fd, rx);
     if (auto f = serve::try_extract_frame(rx);
         f && f->type == serve::MessageType::kReloadResponse) {
-      serve::WireReader in(f->payload, "reload response");
+      io::WireReader in(f->payload, "reload response");
       reload_counts[round][0] = in.u32();
       reload_counts[round][1] = in.u32();
     }
@@ -401,7 +401,7 @@ int main(int argc, char** argv) {
   Index loris_timeouts = 0;
   while (auto f = serve::try_extract_frame(loris_rx)) {
     if (f->type != serve::MessageType::kErrorResponse) continue;
-    serve::WireReader in(f->payload, "error frame");
+    io::WireReader in(f->payload, "error frame");
     if (in.u8() == static_cast<std::uint8_t>(ErrorCode::kConnectionTimeout))
       ++loris_timeouts;
   }

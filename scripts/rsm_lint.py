@@ -53,6 +53,11 @@ linter enforces them mechanically (stdlib only, no libclang):
                         every lock carries Clang Thread Safety
                         annotations and a deadlock-detection rank
                         (util/sync.hpp; ranks in docs/static-analysis.md).
+  one-wire-codec        no byte-lane shift (`<< (8 * i)` / `>> (8 * i)`)
+                        in src/ outside src/io/wire.cpp — checkpoint logs,
+                        model artifacts and RSF1 frames all encode and
+                        decode little-endian fields through io::put_* and
+                        the bounds-checked io::WireReader (io/wire.hpp).
 
 Usage:
   rsm_lint.py                          # lint the whole tree, exit 0/1
@@ -428,6 +433,31 @@ def rule_no_naked_mutex(files, _root):
     return findings
 
 
+# A shift by a multiple of 8 indexed by a loop variable splits or assembles
+# an integer one byte at a time: the job io/wire.cpp does once, bounds
+# checks included.
+BYTE_LANE_SHIFT_RE = re.compile(
+    r"(?:<<|>>)\s*\(\s*(?:8\s*\*\s*\w+|\w+\s*\*\s*8)\s*\)")
+WIRE_HOME_PATH = "src/io/wire.cpp"
+
+
+def rule_one_wire_codec(files, _root):
+    findings = []
+    for f in files:
+        if not f.rel.startswith("src/") or f.rel == WIRE_HOME_PATH:
+            continue
+        for i, line in enumerate(f.code_lines, 1):
+            if BYTE_LANE_SHIFT_RE.search(line) and \
+                    not f.allowed(i, "one-wire-codec"):
+                findings.append(Finding(
+                    "one-wire-codec", f.rel, i,
+                    "byte-lane shift outside src/io/wire.cpp; encode and "
+                    "decode little-endian fields through io::put_* and "
+                    "io::WireReader (io/wire.hpp) so every byte format "
+                    "shares one bounds-checked codec"))
+    return findings
+
+
 PRAGMA_ONCE_RE = re.compile(r"^#\s*pragma\s+once", re.MULTILINE)
 
 
@@ -534,6 +564,7 @@ RULES = {
     "metric-name-literal": rule_metric_name_literal,
     "no-raw-thread": rule_no_raw_thread,
     "no-naked-mutex": rule_no_naked_mutex,
+    "one-wire-codec": rule_one_wire_codec,
 }
 
 

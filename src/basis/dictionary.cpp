@@ -1,8 +1,6 @@
 #include "basis/dictionary.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "basis/hermite.hpp"
 
@@ -91,38 +89,6 @@ void BasisDictionary::evaluate_row(std::span<const Real> sample,
                        static_cast<std::size_t>(t.order)];
     out[static_cast<std::size_t>(m)] = product;
   }
-}
-
-void BasisDictionary::save(std::ostream& out) const {
-  out << "basis_dictionary v1\n" << num_variables_ << " " << size() << "\n";
-  for (const MultiIndex& mi : indices_) {
-    out << mi.terms().size();
-    for (const IndexTerm& t : mi.terms())
-      out << " " << t.variable << " " << t.order;
-    out << "\n";
-  }
-}
-
-BasisDictionary BasisDictionary::load(std::istream& in) {
-  std::string tag, version;
-  in >> tag >> version;
-  RSM_CHECK_MSG(tag == "basis_dictionary" && version == "v1",
-                "unrecognized dictionary file header");
-  Index num_variables = 0, count = 0;
-  in >> num_variables >> count;
-  RSM_CHECK_MSG(in && num_variables > 0 && count > 0,
-                "malformed dictionary header");
-  std::vector<MultiIndex> indices;
-  indices.reserve(static_cast<std::size_t>(count));
-  for (Index i = 0; i < count; ++i) {
-    std::size_t num_terms = 0;
-    in >> num_terms;
-    std::vector<IndexTerm> terms(num_terms);
-    for (IndexTerm& t : terms) in >> t.variable >> t.order;
-    RSM_CHECK_MSG(static_cast<bool>(in), "truncated dictionary file");
-    indices.push_back(MultiIndex(std::move(terms)));
-  }
-  return {num_variables, std::move(indices)};
 }
 
 }  // namespace rsm

@@ -6,7 +6,6 @@
 // the dictionary also offers per-column evaluation for streaming use.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -57,12 +56,6 @@ class BasisDictionary {
 
   /// Highest Hermite order appearing in any index.
   [[nodiscard]] int max_order() const { return max_order_; }
-
-  /// Text serialization. Together with SparseModel::save/load this makes a
-  /// fitted model fully reloadable in another process (a model file's
-  /// indices are positions in its dictionary).
-  void save(std::ostream& out) const;
-  [[nodiscard]] static BasisDictionary load(std::istream& in);
 
  private:
   Index num_variables_;

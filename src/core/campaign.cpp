@@ -122,19 +122,24 @@ RowOutcome evaluate_row(const Matrix& samples, Index k,
     } catch (const std::exception& e) {
       out.code = classify_error(e);
       out.reason = e.what();
-      if (globally_stopped()) {
-        // The stop was the campaign's, not the sample's: leave the row
-        // unevaluated (a resume will redo it) and un-charge the attempt.
-        if (attempt > 0) --out.retries;
-        return out;
-      }
-      out.failed_codes.push_back(out.code);
-      if (out.code == ErrorCode::kDeadlineExceeded) {
-        obs::metrics().counter("campaign.deadline_trips").increment();
-      }
-      RSM_DEBUG("campaign: sample " << k << " attempt " << attempt
-                                    << " failed: " << e.what());
+    } catch (...) {
+      // A thrown value that is not a std::exception carries no code and no
+      // message, but it is still this row's failure, not the pool's.
+      out.code = ErrorCode::kUnclassified;
+      out.reason = "evaluator threw a value that is not a std::exception";
     }
+    if (globally_stopped()) {
+      // The stop was the campaign's, not the sample's: leave the row
+      // unevaluated (a resume will redo it) and un-charge the attempt.
+      if (attempt > 0) --out.retries;
+      return out;
+    }
+    out.failed_codes.push_back(out.code);
+    if (out.code == ErrorCode::kDeadlineExceeded) {
+      obs::metrics().counter("campaign.deadline_trips").increment();
+    }
+    RSM_DEBUG("campaign: sample " << k << " attempt " << attempt
+                                  << " failed: " << out.reason);
   }
   out.evaluated = true;
   if (!out.ok) {

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -384,27 +382,6 @@ std::string SparseModel::to_string(Index max_terms) const {
   }
   if (show < num_terms()) os << "  ... (" << num_terms() - show << " more)\n";
   return os.str();
-}
-
-void SparseModel::save(std::ostream& out) const {
-  out.precision(17);
-  out << "sparse_model v1\n" << terms_.size() << "\n";
-  for (const ModelTerm& t : terms_)
-    out << t.basis_index << " " << t.coefficient << "\n";
-}
-
-SparseModel SparseModel::load(
-    std::istream& in, std::shared_ptr<const BasisDictionary> dictionary) {
-  std::string tag, version;
-  in >> tag >> version;
-  RSM_CHECK_MSG(tag == "sparse_model" && version == "v1",
-                "unrecognized model file header");
-  std::size_t count = 0;
-  in >> count;
-  std::vector<ModelTerm> terms(count);
-  for (ModelTerm& t : terms) in >> t.basis_index >> t.coefficient;
-  RSM_CHECK_MSG(static_cast<bool>(in), "truncated model file");
-  return SparseModel(std::move(dictionary), std::move(terms));
 }
 
 }  // namespace rsm

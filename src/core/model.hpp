@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -105,14 +104,6 @@ class SparseModel {
 
   /// Human-readable listing, largest |coefficient| first.
   [[nodiscard]] std::string to_string(Index max_terms = 20) const;
-
-  /// Text serialization (stable across platforms).
-  void save(std::ostream& out) const;
-
-  /// Loads a model saved with `save`; the dictionary must match the one the
-  /// model was built with (indices are dictionary positions).
-  [[nodiscard]] static SparseModel load(
-      std::istream& in, std::shared_ptr<const BasisDictionary> dictionary);
 
  private:
   // One factor of a model term in the packed evaluation plan. `slot` indexes

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -11,66 +10,12 @@
 
 #include "io/atomic_file.hpp"
 #include "io/crc32.hpp"
+#include "io/wire.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
 
 namespace rsm::io {
 namespace {
-
-// ---- little-endian wire helpers -------------------------------------------
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-
-void put_real(std::string& out, Real v) {
-  static_assert(sizeof(Real) == 8, "checkpoint format assumes 64-bit Real");
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounds-checked cursor over a loaded byte buffer.
-struct Reader {
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  [[nodiscard]] std::size_t remaining() const { return size - pos; }
-
-  std::uint8_t u8() { return data[pos++]; }
-
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(data[pos++]) << (8 * i);
-    return v;
-  }
-
-  Real real() {
-    const std::uint64_t bits = u64();
-    Real v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-};
 
 [[noreturn]] void reject(const std::string& path, const std::string& why) {
   throw IoError("checkpoint '" + path + "' rejected: " + why, "checkpoint");
@@ -94,6 +39,70 @@ std::string bounded_reason(const std::string& reason) {
   return reason.substr(0, kMaxReasonLength);
 }
 
+void put_codes(std::string& out, const std::vector<ErrorCode>& codes) {
+  const std::size_t n = std::min(codes.size(), kMaxFailedAttemptCodes);
+  put_u32(out, static_cast<std::uint32_t>(n));
+  for (std::size_t i = 0; i < n; ++i)
+    put_u32(out, static_cast<std::uint32_t>(codes[i]));
+}
+
+ErrorCode read_code(WireReader& in, const std::string& path,
+                    const char* why) {
+  const std::uint32_t code = in.u32();
+  if (code >= static_cast<std::uint32_t>(kNumErrorCodes)) reject(path, why);
+  return static_cast<ErrorCode>(code);
+}
+
+std::vector<ErrorCode> read_codes(WireReader& in, const std::string& path) {
+  const std::uint32_t n = in.u32();
+  if (n > kMaxFailedAttemptCodes)
+    reject(path, "record failed-code count out of range");
+  std::vector<ErrorCode> codes;
+  codes.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i)
+    codes.push_back(
+        read_code(in, path, "record carries an unknown error code"));
+  return codes;
+}
+
+/// Decodes one complete record: type, payload_len, payload, crc. The CRC is
+/// checked before any payload field is read, then the payload is decoded
+/// through a bounds-checked reader that must consume it exactly.
+CheckpointRecord decode_record(std::string_view bytes, const std::string& path,
+                               const char* context) {
+  const std::string_view body = bytes.substr(0, bytes.size() - 4);
+  WireReader crc_in(bytes.substr(body.size()), context);
+  if (crc_in.u32() != crc32(body)) {
+    reject(path, "record CRC mismatch (bit flip?)");
+  }
+
+  WireReader in(body, context);
+  CheckpointRecord record;
+  record.type = static_cast<CheckpointRecord::Type>(in.u8());
+  const bool sample = record.type == CheckpointRecord::Type::kSample;
+  if (!sample && record.type != CheckpointRecord::Type::kQuarantine) {
+    reject(path, "unknown record type");
+  }
+  (void)in.u32();  // payload_len: the caller framed the record with it
+  record.sample = static_cast<Index>(in.u64());
+  if (sample) {
+    record.value = in.real();
+  } else {
+    record.code = read_code(in, path,
+                            "quarantine record carries an unknown error code");
+  }
+  record.attempts = static_cast<int>(in.u32());
+  record.failed_codes = read_codes(in, path);
+  if (!sample) {
+    record.reason = in.bytes();
+    if (record.reason.size() > kMaxReasonLength) {
+      reject(path, "quarantine reason length inconsistent");
+    }
+  }
+  in.expect_done();
+  return record;
+}
+
 }  // namespace
 
 std::string serialize_header(const CheckpointHeader& header) {
@@ -109,26 +118,18 @@ std::string serialize_header(const CheckpointHeader& header) {
 }
 
 std::string serialize_record(const CheckpointRecord& record) {
+  const bool sample = record.type == CheckpointRecord::Type::kSample;
   std::string payload;
   put_u64(payload, static_cast<std::uint64_t>(record.sample));
-  const std::size_t n_codes =
-      std::min(record.failed_codes.size(), kMaxFailedAttemptCodes);
-  if (record.type == CheckpointRecord::Type::kSample) {
+  if (sample) {
     put_real(payload, record.value);
-    put_u32(payload, static_cast<std::uint32_t>(record.attempts));
-    put_u32(payload, static_cast<std::uint32_t>(n_codes));
-    for (std::size_t i = 0; i < n_codes; ++i)
-      put_u32(payload, static_cast<std::uint32_t>(record.failed_codes[i]));
   } else {
-    const std::string reason = bounded_reason(record.reason);
     put_u32(payload, static_cast<std::uint32_t>(record.code));
-    put_u32(payload, static_cast<std::uint32_t>(record.attempts));
-    put_u32(payload, static_cast<std::uint32_t>(n_codes));
-    for (std::size_t i = 0; i < n_codes; ++i)
-      put_u32(payload, static_cast<std::uint32_t>(record.failed_codes[i]));
-    put_u32(payload, static_cast<std::uint32_t>(reason.size()));
-    payload.append(reason);
   }
+  put_u32(payload, static_cast<std::uint32_t>(record.attempts));
+  put_codes(payload, record.failed_codes);
+  if (!sample) put_bytes(payload, bounded_reason(record.reason));
+
   std::string out;
   out.reserve(kRecordOverhead + payload.size());
   put_u8(out, static_cast<std::uint8_t>(record.type));
@@ -140,22 +141,23 @@ std::string serialize_record(const CheckpointRecord& record) {
 
 CheckpointData load_checkpoint(const std::string& path, LoadMode mode) {
   const std::string bytes = read_file_bytes(path);
-  Reader in{reinterpret_cast<const unsigned char*>(bytes.data()),
-            bytes.size()};
-
-  if (in.remaining() < kHeaderSize) reject(path, "truncated header");
-  if (std::memcmp(bytes.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) !=
-      0) {
+  const std::string_view magic(kCheckpointMagic, sizeof(kCheckpointMagic));
+  if (bytes.size() < kHeaderSize) reject(path, "truncated header");
+  if (bytes.compare(0, magic.size(), magic) != 0) {
     reject(path, "bad magic (not a checkpoint file)");
   }
-  const std::uint32_t header_crc = crc32(bytes.data(), kHeaderSize - 4);
+  const std::string context = "checkpoint '" + path + "'";
+  WireReader header(std::string_view(bytes).substr(0, kHeaderSize),
+                    context.c_str());
+  (void)header.raw(magic.size());
   CheckpointData data;
-  in.pos = sizeof(kCheckpointMagic);
-  data.header.version = in.u32();
-  data.header.sample_matrix_hash = in.u64();
-  data.header.config_hash = in.u64();
-  data.header.total_rows = in.u64();
-  if (in.u32() != header_crc) reject(path, "header CRC mismatch");
+  data.header.version = header.u32();
+  data.header.sample_matrix_hash = header.u64();
+  data.header.config_hash = header.u64();
+  data.header.total_rows = header.u64();
+  if (header.u32() != crc32(bytes.data(), kHeaderSize - 4)) {
+    reject(path, "header CRC mismatch");
+  }
   if (data.header.version != kCheckpointVersion) {
     std::ostringstream os;
     os << "unsupported version " << data.header.version << " (expected "
@@ -163,34 +165,33 @@ CheckpointData load_checkpoint(const std::string& path, LoadMode mode) {
     reject(path, os.str());
   }
 
-  while (in.remaining() > 0) {
+  std::string_view rest = std::string_view(bytes).substr(kHeaderSize);
+  while (!rest.empty()) {
     // A record shorter than its framing, or than its declared payload, is a
     // torn tail: recoverable in kRecoverTail/kSalvage mode and only because
     // nothing can follow it.
-    bool torn = in.remaining() < kRecordOverhead;
+    bool torn = rest.size() < kRecordOverhead;
     bool corrupt_length = false;
     std::size_t payload_len = 0;
     if (!torn) {
-      const std::size_t record_start = in.pos;
-      in.pos = record_start + 1;  // skip type for the length peek
-      payload_len = in.u32();
-      in.pos = record_start;
+      WireReader framing(rest.substr(1, 4), context.c_str());
+      payload_len = framing.u32();
       torn = payload_len > kMaxPayload ||
-             in.remaining() < kRecordOverhead + payload_len;
+             rest.size() < kRecordOverhead + payload_len;
       // An oversized length field on a *complete* remainder is corruption,
       // not truncation; but we cannot distinguish the two without trusting
       // the corrupt length, so treat > kMaxPayload as torn only at EOF
       // proximity — i.e. when the remainder could not hold a legal record
       // anyway — and corruption otherwise.
       corrupt_length = payload_len > kMaxPayload &&
-                       in.remaining() >= kRecordOverhead + kMaxPayload;
+                       rest.size() >= kRecordOverhead + kMaxPayload;
     }
     if (torn && !corrupt_length) {
       if (mode == LoadMode::kStrict) {
         reject(path, "truncated trailing record (torn write?)");
       }
       data.truncated_tail = true;
-      RSM_WARN("checkpoint '" << path << "': dropping " << in.remaining()
+      RSM_WARN("checkpoint '" << path << "': dropping " << rest.size()
                               << "-byte torn tail after "
                               << data.records.size() << " valid records");
       break;
@@ -201,77 +202,10 @@ CheckpointData load_checkpoint(const std::string& path, LoadMode mode) {
     // dropped rows are simply re-evaluated; corrupt data is never trusted).
     try {
       if (corrupt_length) reject(path, "record payload length field corrupt");
-
-      const std::size_t record_start = in.pos;
-      const std::uint32_t expected_crc =
-          crc32(bytes.data() + record_start, 1 + 4 + payload_len);
-      const std::uint8_t type = in.u8();
-      (void)in.u32();  // payload_len, already read
-
-      CheckpointRecord record;
-      const std::size_t payload_end = in.pos + payload_len;
-      if (type == static_cast<std::uint8_t>(CheckpointRecord::Type::kSample)) {
-        if (payload_len < 8 + 8 + 4 + 4) {
-          reject(path, "sample record malformed");
-        }
-        record.type = CheckpointRecord::Type::kSample;
-        record.sample = static_cast<Index>(in.u64());
-        record.value = in.real();
-        record.attempts = static_cast<int>(in.u32());
-        const std::uint32_t n_codes = in.u32();
-        if (n_codes > kMaxFailedAttemptCodes ||
-            payload_len != 8 + 8 + 4 + 4 + 4 * std::size_t{n_codes}) {
-          reject(path, "sample record malformed");
-        }
-        record.failed_codes.reserve(n_codes);
-        for (std::uint32_t i = 0; i < n_codes; ++i) {
-          const std::uint32_t code = in.u32();
-          if (code >= static_cast<std::uint32_t>(kNumErrorCodes)) {
-            reject(path, "record carries an unknown error code");
-          }
-          record.failed_codes.push_back(static_cast<ErrorCode>(code));
-        }
-      } else if (type == static_cast<std::uint8_t>(
-                             CheckpointRecord::Type::kQuarantine)) {
-        if (payload_len < 8 + 4 + 4 + 4 + 4) {
-          reject(path, "quarantine record malformed");
-        }
-        record.type = CheckpointRecord::Type::kQuarantine;
-        record.sample = static_cast<Index>(in.u64());
-        const std::uint32_t code = in.u32();
-        if (code >= static_cast<std::uint32_t>(kNumErrorCodes)) {
-          reject(path, "quarantine record carries an unknown error code");
-        }
-        record.code = static_cast<ErrorCode>(code);
-        record.attempts = static_cast<int>(in.u32());
-        const std::uint32_t n_codes = in.u32();
-        if (n_codes > kMaxFailedAttemptCodes ||
-            in.pos + 4 * std::size_t{n_codes} + 4 > payload_end) {
-          reject(path, "quarantine record malformed");
-        }
-        record.failed_codes.reserve(n_codes);
-        for (std::uint32_t i = 0; i < n_codes; ++i) {
-          const std::uint32_t failed = in.u32();
-          if (failed >= static_cast<std::uint32_t>(kNumErrorCodes)) {
-            reject(path, "record carries an unknown error code");
-          }
-          record.failed_codes.push_back(static_cast<ErrorCode>(failed));
-        }
-        const std::uint32_t reason_len = in.u32();
-        if (reason_len > kMaxReasonLength ||
-            in.pos + reason_len != payload_end) {
-          reject(path, "quarantine reason length inconsistent");
-        }
-        record.reason.assign(bytes.data() + in.pos, reason_len);
-        in.pos += reason_len;
-      } else {
-        reject(path, "unknown record type");
-      }
-      if (in.pos != payload_end) reject(path, "record payload size mismatch");
-      if (in.u32() != expected_crc) {
-        reject(path, "record CRC mismatch (bit flip?)");
-      }
-      data.records.push_back(std::move(record));
+      const std::size_t record_size = kRecordOverhead + payload_len;
+      data.records.push_back(
+          decode_record(rest.substr(0, record_size), path, context.c_str()));
+      rest.remove_prefix(record_size);
     } catch (const IoError& e) {
       if (mode != LoadMode::kSalvage) throw;
       data.salvaged_corruption = true;

@@ -9,11 +9,12 @@
 //             | u64 config_hash | u64 total_rows | u32 crc32(header)
 //   record* : u8 type | u32 payload_len | payload | u32 crc32(type|len|payload)
 //
-// all integers little-endian, Reals as IEEE-754 bit patterns. One record is
-// appended per campaign row — kSample {row, value bits, attempts, failed
-// attempt codes} for survivors, kQuarantine {row, code, attempts, failed
-// attempt codes, reason} for permanently failed rows — and fsync'd every
-// `flush_every` records, so the logs hold every finished row at all times.
+// all integers little-endian, Reals as IEEE-754 bit patterns, through the
+// shared io/wire.hpp codec. One record is appended per campaign row —
+// kSample {row, value bits, attempts, failed attempt codes} for survivors,
+// kQuarantine {row, code, attempts, failed attempt codes, reason} for
+// permanently failed rows — and fsync'd every `flush_every` records, so the
+// logs hold every finished row at all times.
 // Version 2 added the per-attempt failure codes: replaying a record
 // reconstructs the campaign's error histogram exactly, which is what lets a
 // resumed report be byte-identical to an uninterrupted one.

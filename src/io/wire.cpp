@@ -1,11 +1,11 @@
-#include "serve/wire.hpp"
+#include "io/wire.hpp"
 
 #include <bit>
 #include <sstream>
 
 #include "util/errors.hpp"
 
-namespace rsm::serve {
+namespace rsm::io {
 
 void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
@@ -100,4 +100,4 @@ void WireReader::expect_done() const {
   if (pos_ != bytes_.size()) fail("trailing bytes after decoded content");
 }
 
-}  // namespace rsm::serve
+}  // namespace rsm::io

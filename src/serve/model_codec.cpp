@@ -7,30 +7,30 @@
 #include <vector>
 
 #include "io/crc32.hpp"
-#include "serve/wire.hpp"
+#include "io/wire.hpp"
 #include "util/errors.hpp"
 
 namespace rsm::serve {
 namespace {
 
 void encode_dictionary(std::string& out, const BasisDictionary& dictionary) {
-  put_u32(out, static_cast<std::uint32_t>(dictionary.num_variables()));
-  put_u32(out, static_cast<std::uint32_t>(dictionary.size()));
+  io::put_u32(out, static_cast<std::uint32_t>(dictionary.num_variables()));
+  io::put_u32(out, static_cast<std::uint32_t>(dictionary.size()));
   for (const MultiIndex& mi : dictionary.indices()) {
     RSM_CHECK_MSG(mi.terms().size() <= 0xffff,
                   "multi-index with " << mi.terms().size()
                                       << " factors exceeds codec limit");
-    put_u16(out, static_cast<std::uint16_t>(mi.terms().size()));
+    io::put_u16(out, static_cast<std::uint16_t>(mi.terms().size()));
     for (const IndexTerm& t : mi.terms()) {
       RSM_CHECK_MSG(t.order >= 0 && t.order <= 0xffff,
                     "Hermite order " << t.order << " exceeds codec limit");
-      put_u32(out, static_cast<std::uint32_t>(t.variable));
-      put_u16(out, static_cast<std::uint16_t>(t.order));
+      io::put_u32(out, static_cast<std::uint32_t>(t.variable));
+      io::put_u16(out, static_cast<std::uint16_t>(t.order));
     }
   }
 }
 
-BasisDictionary decode_dictionary(WireReader& in) {
+BasisDictionary decode_dictionary(io::WireReader& in) {
   const std::uint32_t num_variables = in.u32();
   const std::uint32_t num_indices = in.u32();
   if (num_variables == 0 || num_indices == 0)
@@ -68,13 +68,14 @@ std::uint64_t dictionary_fingerprint(const BasisDictionary& dictionary) {
 std::string encode_model(const SparseModel& model) {
   std::string out;
   out.append(kModelMagic);
-  put_u32(out, kModelFormatVersion);
+  io::put_u32(out, kModelFormatVersion);
 
   const std::size_t dict_begin = out.size();
   encode_dictionary(out, model.dictionary());
-  put_u64(out, io::fnv1a64(out.data() + dict_begin, out.size() - dict_begin));
+  io::put_u64(out,
+              io::fnv1a64(out.data() + dict_begin, out.size() - dict_begin));
 
-  put_u32(out, static_cast<std::uint32_t>(model.num_terms()));
+  io::put_u32(out, static_cast<std::uint32_t>(model.num_terms()));
   for (const ModelTerm& t : model.terms()) {
     if (!std::isfinite(t.coefficient)) {
       std::ostringstream os;
@@ -82,10 +83,10 @@ std::string encode_model(const SparseModel& model) {
          << " is " << t.coefficient << "; refusing to encode";
       throw NumericalDomainError(os.str(), "model_codec");
     }
-    put_u32(out, static_cast<std::uint32_t>(t.basis_index));
-    put_real(out, t.coefficient);
+    io::put_u32(out, static_cast<std::uint32_t>(t.basis_index));
+    io::put_real(out, t.coefficient);
   }
-  put_u32(out, io::crc32(out.data(), out.size()));
+  io::put_u32(out, io::crc32(out.data(), out.size()));
   return out;
 }
 
@@ -98,12 +99,12 @@ SparseModel decode_model(std::string_view bytes) {
 
   // Whole-file CRC before trusting any field beyond the magic.
   const std::string_view body = bytes.substr(0, bytes.size() - 4);
-  WireReader crc_in(bytes.substr(bytes.size() - 4), "model file");
+  io::WireReader crc_in(bytes.substr(bytes.size() - 4), "model file");
   const std::uint32_t stored_crc = crc_in.u32();
   if (io::crc32(body.data(), body.size()) != stored_crc)
     throw IoError("model file: CRC mismatch (torn write or bit corruption)");
 
-  WireReader in(body, "model file");
+  io::WireReader in(body, "model file");
   (void)in.raw(kModelMagic.size());
   const std::uint32_t version = in.u32();
   if (version != kModelFormatVersion) {

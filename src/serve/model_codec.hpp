@@ -2,11 +2,12 @@
 //
 // The paper's product is a tiny artifact — tens of active Hermite terms out
 // of a 10^4..10^6-term dictionary — that downstream consumers evaluate
-// millions of times. This codec freezes that artifact byte-exactly:
-// coefficients travel as IEEE-754 bit patterns (a decoded model predicts
-// bit-identically to the fitted one, unlike the text round-trip through
-// decimal) and the dictionary metadata is embedded so a model file is
-// self-contained.
+// millions of times. This codec, the only model format, freezes that
+// artifact byte-exactly: coefficients travel as IEEE-754 bit patterns (a
+// decoded model predicts bit-identically to the fitted one, which a round
+// trip through decimal text would not) and the dictionary metadata is
+// embedded so a model file is self-contained. Fields go through the shared
+// io/wire.hpp codec.
 //
 // File layout (all integers little-endian):
 //

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "io/crc32.hpp"
-#include "serve/wire.hpp"
+#include "io/wire.hpp"
 #include "util/errors.hpp"
 
 namespace rsm::serve {
@@ -14,19 +14,19 @@ std::string encode_frame(MessageType type, std::string_view payload) {
                                     << " bytes exceeds protocol cap");
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size() + 4);
-  put_u32(out, kFrameMagic);
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  io::put_u32(out, kFrameMagic);
+  io::put_u8(out, static_cast<std::uint8_t>(type));
+  io::put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out.append(payload);
-  put_u32(out, io::crc32(out.data(), out.size()));
+  io::put_u32(out, io::crc32(out.data(), out.size()));
   return out;
 }
 
 std::optional<Frame> try_extract_frame(std::string& buffer) {
   if (buffer.size() < kFrameHeaderBytes) return std::nullopt;
 
-  WireReader header(std::string_view(buffer).substr(0, kFrameHeaderBytes),
-                    "frame header");
+  io::WireReader header(std::string_view(buffer).substr(0, kFrameHeaderBytes),
+                        "frame header");
   const std::uint32_t magic = header.u32();
   if (magic != kFrameMagic) {
     std::ostringstream os;
@@ -47,7 +47,8 @@ std::optional<Frame> try_extract_frame(std::string& buffer) {
   if (buffer.size() < frame_bytes) return std::nullopt;
 
   const std::size_t crc_at = kFrameHeaderBytes + payload_len;
-  WireReader crc_in(std::string_view(buffer).substr(crc_at, 4), "frame crc");
+  io::WireReader crc_in(std::string_view(buffer).substr(crc_at, 4),
+                        "frame crc");
   const std::uint32_t stored_crc = crc_in.u32();
   if (io::crc32(buffer.data(), crc_at) != stored_crc)
     throw ProtocolError("frame CRC mismatch");

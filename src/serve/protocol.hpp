@@ -5,7 +5,7 @@
 //   magic        u32  kFrameMagic ("RSF1" little-endian)
 //   type         u8   MessageType
 //   payload_len  u32  <= kMaxFramePayload
-//   payload      payload_len bytes (request/response body, wire.hpp encoded)
+//   payload      payload_len bytes (request/response body, io/wire.hpp)
 //   crc          u32  CRC32 of the frame's first 9 + payload_len bytes
 //
 // try_extract_frame() consumes frames incrementally from a receive buffer:
@@ -15,7 +15,7 @@
 // unknowable, so the server replies with an error frame and closes the
 // connection instead of guessing a resync point.
 //
-// Payload layouts (all wire.hpp little-endian; `bytes` = u32 len + raw):
+// Payload layouts (all io/wire.hpp little-endian; `bytes` = u32 len + raw):
 //
 //   kEvalRequest        bytes name, u32 version, u32 n, n x real sample
 //   kEvalResponse       real value

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "io/atomic_file.hpp"
+#include "io/crc32.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/model_codec.hpp"
@@ -95,23 +96,20 @@ std::uint32_t ModelRegistry::latest_version(const std::string& name) const {
 }
 
 std::uint64_t ModelRegistry::state_fingerprint() const {
-  std::uint64_t combined = 0xcbf29ce484222325ull;
+  std::uint64_t combined = io::kFnvOffsetBasis;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(root_, ec)) {
     std::string name;
     std::uint32_t version = 0;
     const std::string filename = entry.path().filename().string();
     if (!parse_entry_filename(filename, name, version)) continue;
-    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a per entry
-    for (const char c : filename) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
     std::error_code size_ec;
     const auto size = fs::file_size(entry.path(), size_ec);
-    h ^= size_ec ? 0 : static_cast<std::uint64_t>(size);
-    h *= 0x100000001b3ull;
-    combined ^= h;  // XOR: directory iteration order must not matter
+    const std::uint64_t bytes = size_ec ? 0 : static_cast<std::uint64_t>(size);
+    // FNV-1a per entry over its name and size; XOR so that directory
+    // iteration order does not matter.
+    combined ^= io::fnv1a64(&bytes, sizeof(bytes),
+                            io::fnv1a64(filename.data(), filename.size()));
   }
   if (ec)
     throw IoError("registry: cannot list '" + root_ + "': " + ec.message());

@@ -14,10 +14,10 @@
 
 #include "core/worst_case.hpp"
 #include "core/yield.hpp"
+#include "io/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/model_codec.hpp"
-#include "serve/wire.hpp"
 #include "stats/rng.hpp"
 #include "util/errors.hpp"
 
@@ -37,8 +37,8 @@ void set_nonblocking(int fd) {
   if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Rethrows WireReader truncation (IoError) as the protocol-layer error a
-/// malformed-but-well-framed request deserves.
+/// Rethrows io::WireReader truncation (IoError) as the protocol-layer
+/// error a malformed-but-well-framed request deserves.
 template <typename Fn>
 auto parse_payload(const char* request_name, Fn&& fn) {
   try {
@@ -199,7 +199,7 @@ std::string ModelServer::handle_eval(const std::string& payload) {
     std::vector<Real> sample;
   };
   const Parsed parsed = parse_payload("eval", [&] {
-    WireReader in(payload, "eval request");
+    io::WireReader in(payload, "eval request");
     Parsed p;
     p.name = in.bytes();
     p.version = in.u32();
@@ -222,7 +222,7 @@ std::string ModelServer::handle_eval(const std::string& payload) {
   ++stats_.evals;
   obs::metrics().counter("serve.evals").increment();
   std::string response;
-  put_real(response, value);
+  io::put_real(response, value);
   return encode_frame(MessageType::kEvalResponse, response);
 }
 
@@ -236,7 +236,7 @@ std::string ModelServer::handle_eval_batch(const std::string& payload) {
     std::vector<Real> samples;
   };
   const Parsed parsed = parse_payload("eval_batch", [&] {
-    WireReader in(payload, "eval_batch request");
+    io::WireReader in(payload, "eval_batch request");
     Parsed p;
     p.name = in.bytes();
     p.version = in.u32();
@@ -280,8 +280,8 @@ std::string ModelServer::handle_eval_batch(const std::string& payload) {
   obs::metrics().counter("serve.batch_rows").increment(parsed.rows);
 
   std::string response;
-  put_u32(response, static_cast<std::uint32_t>(parsed.rows));
-  for (const Real v : out) put_real(response, v);
+  io::put_u32(response, static_cast<std::uint32_t>(parsed.rows));
+  for (const Real v : out) io::put_real(response, v);
   return encode_frame(MessageType::kEvalBatchResponse, response);
 }
 
@@ -295,7 +295,7 @@ std::string ModelServer::handle_yield(const std::string& payload) {
     std::uint64_t seed;
   };
   const Parsed parsed = parse_payload("yield", [&] {
-    WireReader in(payload, "yield request");
+    io::WireReader in(payload, "yield request");
     Parsed p;
     p.name = in.bytes();
     p.version = in.u32();
@@ -317,10 +317,10 @@ std::string ModelServer::handle_yield(const std::string& payload) {
   const YieldResult result = estimate_yield(
       model, parsed.spec, static_cast<Index>(parsed.num_samples), rng);
   std::string response;
-  put_real(response, result.yield);
-  put_real(response, result.standard_error);
-  put_u64(response, static_cast<std::uint64_t>(result.num_samples));
-  put_u64(response, static_cast<std::uint64_t>(result.num_failures));
+  io::put_real(response, result.yield);
+  io::put_real(response, result.standard_error);
+  io::put_u64(response, static_cast<std::uint64_t>(result.num_samples));
+  io::put_u64(response, static_cast<std::uint64_t>(result.num_failures));
   return encode_frame(MessageType::kYieldResponse, response);
 }
 
@@ -333,7 +333,7 @@ std::string ModelServer::handle_worst_case(const std::string& payload) {
     bool maximize;
   };
   const Parsed parsed = parse_payload("worst_case", [&] {
-    WireReader in(payload, "worst_case request");
+    io::WireReader in(payload, "worst_case request");
     Parsed p;
     p.name = in.bytes();
     p.version = in.u32();
@@ -350,12 +350,12 @@ std::string ModelServer::handle_worst_case(const std::string& payload) {
   wc_options.maximize = parsed.maximize;
   const WorstCaseResult result = find_worst_case(model, wc_options);
   std::string response;
-  put_real(response, result.value);
-  put_real(response, result.sigma_distance);
-  put_u32(response, static_cast<std::uint32_t>(result.iterations));
-  put_u8(response, result.converged ? 1 : 0);
-  put_u32(response, static_cast<std::uint32_t>(result.corner.size()));
-  for (const Real v : result.corner) put_real(response, v);
+  io::put_real(response, result.value);
+  io::put_real(response, result.sigma_distance);
+  io::put_u32(response, static_cast<std::uint32_t>(result.iterations));
+  io::put_u8(response, result.converged ? 1 : 0);
+  io::put_u32(response, static_cast<std::uint32_t>(result.corner.size()));
+  for (const Real v : result.corner) io::put_real(response, v);
   return encode_frame(MessageType::kWorstCaseResponse, response);
 }
 
@@ -363,13 +363,13 @@ std::string ModelServer::handle_list_models() {
   RSM_TRACE_SPAN("serve.list_models");
   const std::vector<ModelRecord> records = registry_.list();
   std::string response;
-  put_u32(response, static_cast<std::uint32_t>(records.size()));
+  io::put_u32(response, static_cast<std::uint32_t>(records.size()));
   for (const ModelRecord& r : records) {
-    put_bytes(response, r.name);
-    put_u32(response, r.version);
-    put_u64(response, r.fingerprint);
-    put_u32(response, static_cast<std::uint32_t>(r.num_variables));
-    put_u32(response, static_cast<std::uint32_t>(r.num_terms));
+    io::put_bytes(response, r.name);
+    io::put_u32(response, r.version);
+    io::put_u64(response, r.fingerprint);
+    io::put_u32(response, static_cast<std::uint32_t>(r.num_variables));
+    io::put_u32(response, static_cast<std::uint32_t>(r.num_terms));
   }
   return encode_frame(MessageType::kListModelsResponse, response);
 }
@@ -379,20 +379,20 @@ std::string ModelServer::handle_reload(const std::string& payload) {
     throw ProtocolError("reload: request carries an unexpected payload");
   const auto [reloaded, failed] = reload_models();
   std::string response;
-  put_u32(response, reloaded);
-  put_u32(response, failed);
+  io::put_u32(response, reloaded);
+  io::put_u32(response, failed);
   return encode_frame(MessageType::kReloadResponse, response);
 }
 
 std::string ModelServer::error_frame(ErrorCode code,
                                      const std::string& message) const {
   std::string response;
-  put_u8(response, static_cast<std::uint8_t>(code));
-  put_bytes(response, message);
+  io::put_u8(response, static_cast<std::uint8_t>(code));
+  io::put_bytes(response, message);
   // Overload is retryable by contract: tell the client how long to back
   // off (protocol.hpp documents the extra field).
   if (code == ErrorCode::kOverloaded)
-    put_u32(response, options_.retry_after_ms);
+    io::put_u32(response, options_.retry_after_ms);
   return encode_frame(MessageType::kErrorResponse, response);
 }
 

@@ -1,7 +1,6 @@
 #include "basis/dictionary.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -90,40 +89,6 @@ TEST(Dictionary, MaxOrder) {
   EXPECT_EQ(BasisDictionary::linear(4).max_order(), 1);
   EXPECT_EQ(BasisDictionary::quadratic(4).max_order(), 2);
   EXPECT_EQ(BasisDictionary::total_degree(2, 6).max_order(), 6);
-}
-
-TEST(Dictionary, SaveLoadRoundTrip) {
-  const BasisDictionary dict = BasisDictionary::hyperbolic(7, 3);
-  std::stringstream ss;
-  dict.save(ss);
-  const BasisDictionary loaded = BasisDictionary::load(ss);
-  ASSERT_EQ(loaded.size(), dict.size());
-  ASSERT_EQ(loaded.num_variables(), dict.num_variables());
-  EXPECT_EQ(loaded.max_order(), dict.max_order());
-  for (Index m = 0; m < dict.size(); ++m)
-    EXPECT_EQ(loaded.index(m), dict.index(m)) << "index " << m;
-}
-
-TEST(Dictionary, SavedModelReloadsAgainstSavedDictionary) {
-  // The deployment round trip: dictionary + model saved, both reloaded,
-  // predictions identical.
-  Rng rng(59);
-  auto dict = std::make_shared<BasisDictionary>(BasisDictionary::quadratic(5));
-  std::stringstream dict_file;
-  dict->save(dict_file);
-
-  auto reloaded =
-      std::make_shared<BasisDictionary>(BasisDictionary::load(dict_file));
-  const Matrix samples = monte_carlo_normal(10, 5, rng);
-  for (Index k = 0; k < 10; ++k)
-    for (Index m = 0; m < dict->size(); ++m)
-      EXPECT_DOUBLE_EQ(reloaded->evaluate(m, samples.row(k)),
-                       dict->evaluate(m, samples.row(k)));
-}
-
-TEST(Dictionary, LoadRejectsGarbage) {
-  std::stringstream ss("who knows");
-  EXPECT_THROW((void)BasisDictionary::load(ss), Error);
 }
 
 TEST(Dictionary, RejectsOutOfRangeVariable) {

@@ -254,6 +254,34 @@ TEST(Campaign, NonFiniteEvaluationsAreClassifiedAndQuarantined) {
   EXPECT_EQ(result.report.error_count(ErrorCode::kNumericalDomain), 2);
 }
 
+TEST(Campaign, NonStdExceptionIsQuarantinedNotTruncated) {
+  // An evaluator may throw a value that is not a std::exception. It must
+  // take the same retry/quarantine ladder as any other failure instead of
+  // escaping to the pool, which would drop the row and truncate the run.
+  const SyntheticBench bench(12);
+  const SampleEvaluator throws_at_5 = [&](std::span<const Real> sample, int) {
+    const Index k = bench.row_of(sample);
+    if (k == 5) throw 42;
+    return bench.values[static_cast<std::size_t>(k)];
+  };
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    CampaignOptions options;
+    options.max_attempts = 2;
+    options.num_workers = workers;
+    const CampaignReport report =
+        run_campaign(bench.samples, throws_at_5, options).report;
+    EXPECT_FALSE(report.truncated);
+    EXPECT_EQ(report.attempted, 12);
+    EXPECT_EQ(report.succeeded, 11);
+    EXPECT_EQ(report.total_retries, 1);
+    ASSERT_EQ(report.quarantined.size(), 1u);
+    EXPECT_EQ(report.quarantined[0].sample, 5);
+    EXPECT_EQ(report.quarantined[0].code, ErrorCode::kUnclassified);
+    EXPECT_EQ(report.error_count(ErrorCode::kUnclassified), 2);
+  }
+}
+
 TEST(Campaign, MisuseStillThrows) {
   const SyntheticBench bench(5);
   CampaignOptions bad;

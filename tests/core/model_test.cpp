@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <memory>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -78,26 +77,6 @@ TEST(SparseModel, AnalyticMomentsMatchMonteCarlo) {
   const std::vector<Real> vals = model.predict_all(samples);
   EXPECT_NEAR(mean(vals), model.analytic_mean(), 0.01);
   EXPECT_NEAR(variance(vals), model.analytic_variance(), 0.05);
-}
-
-TEST(SparseModel, SaveLoadRoundTrip) {
-  auto dict = quad_dict(3);
-  const SparseModel model(dict, {{0, 1.25}, {2, -3.5e-7}, {8, 42.0}});
-  std::stringstream ss;
-  model.save(ss);
-  const SparseModel loaded = SparseModel::load(ss, dict);
-  ASSERT_EQ(loaded.num_terms(), model.num_terms());
-  Rng rng(603);
-  const Matrix samples = monte_carlo_normal(5, 3, rng);
-  for (Index k = 0; k < 5; ++k)
-    EXPECT_DOUBLE_EQ(loaded.predict(samples.row(k)),
-                     model.predict(samples.row(k)));
-}
-
-TEST(SparseModel, LoadRejectsGarbage) {
-  auto dict = quad_dict(2);
-  std::stringstream ss("not_a_model x");
-  EXPECT_THROW((void)SparseModel::load(ss, dict), Error);
 }
 
 TEST(SparseModel, ToStringSortsByMagnitude) {

@@ -2,8 +2,10 @@
 // with a structured IoError (truncation, bit flips, version/magic
 // mismatches), the sanctioned torn-tail recovery, and the writer's atomic
 // self-heal after an injected append fault.
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -12,7 +14,9 @@
 #include "io/atomic_file.hpp"
 #include "io/checkpoint.hpp"
 #include "io/crc32.hpp"
+#include "support/hex.hpp"
 #include "util/errors.hpp"
+#include "util/log.hpp"
 
 namespace rsm::io {
 namespace {
@@ -335,6 +339,154 @@ TEST(CheckpointFormatTest, SalvageKeepsPrefixPastMidStreamBitFlip) {
   EXPECT_FALSE(data.truncated_tail);
   ASSERT_EQ(data.records.size(), 1u);
   EXPECT_EQ(data.records[0].sample, records[0].sample);
+}
+
+// ---- byte-exact encoding and mutation -------------------------------------
+
+// A header, a sample record with failed-attempt codes and a quarantine
+// record, as an earlier build of the codec wrote them. Logs on disk outlive
+// builds, so these bytes must never change.
+constexpr const char* kPinnedHeaderHex =
+    "52534d434b50540a0200000088776655443322110"
+    "0ffeeddccbbaa99050000000000000004737237";
+constexpr const char* kPinnedSampleHex =
+    "01200000000000000000000000000000000000f83f0300000002000000010000000200"
+    "00006d0ca091";
+constexpr const char* kPinnedQuarantineHex =
+    "0228000000010000000000000005000000020000000200000002000000050000000800"
+    "00007761746368646f672cdfe893";
+
+CheckpointRecord pinned_sample() {
+  CheckpointRecord record;
+  record.type = CheckpointRecord::Type::kSample;
+  record.sample = 0;
+  record.attempts = 3;
+  record.value = 1.5;
+  record.failed_codes = {ErrorCode::kSingularMatrix,
+                         ErrorCode::kNoConvergence};
+  return record;
+}
+
+CheckpointRecord pinned_quarantine() {
+  CheckpointRecord record;
+  record.type = CheckpointRecord::Type::kQuarantine;
+  record.sample = 1;
+  record.attempts = 2;
+  record.code = ErrorCode::kDeadlineExceeded;
+  record.reason = "watchdog";
+  record.failed_codes = {ErrorCode::kNoConvergence,
+                         ErrorCode::kDeadlineExceeded};
+  return record;
+}
+
+/// Every field equal, the value bit for bit.
+bool same_record(const CheckpointRecord& a, const CheckpointRecord& b) {
+  return a.type == b.type && a.sample == b.sample &&
+         a.attempts == b.attempts &&
+         std::bit_cast<std::uint64_t>(a.value) ==
+             std::bit_cast<std::uint64_t>(b.value) &&
+         a.code == b.code && a.reason == b.reason &&
+         a.failed_codes == b.failed_codes;
+}
+
+/// Plain write without fsync: the mutation sweep writes over a thousand
+/// files, and durability is not what it tests.
+void write_plain(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+TEST(CheckpointFormatTest, EncodingMatchesPinnedBytes) {
+  const std::string header = from_hex(kPinnedHeaderHex);
+  const std::string sample = from_hex(kPinnedSampleHex);
+  const std::string quarantine = from_hex(kPinnedQuarantineHex);
+  EXPECT_EQ(serialize_header(test_header()), header);
+  EXPECT_EQ(serialize_record(pinned_sample()), sample);
+  EXPECT_EQ(serialize_record(pinned_quarantine()), quarantine);
+
+  const std::string path = test_path("pinned.ckpt");
+  write_plain(path, header + sample + quarantine);
+  const CheckpointData data = load_checkpoint(path, LoadMode::kStrict);
+  EXPECT_EQ(data.header.version, kCheckpointVersion);
+  EXPECT_EQ(data.header.sample_matrix_hash, test_header().sample_matrix_hash);
+  EXPECT_EQ(data.header.config_hash, test_header().config_hash);
+  EXPECT_EQ(data.header.total_rows, test_header().total_rows);
+  ASSERT_EQ(data.records.size(), 2u);
+  const CheckpointRecord& s = data.records[0];
+  EXPECT_EQ(s.type, CheckpointRecord::Type::kSample);
+  EXPECT_EQ(s.sample, 0);
+  EXPECT_EQ(s.attempts, 3);
+  EXPECT_EQ(s.value, 1.5);
+  EXPECT_EQ(s.failed_codes, pinned_sample().failed_codes);
+  const CheckpointRecord& q = data.records[1];
+  EXPECT_EQ(q.type, CheckpointRecord::Type::kQuarantine);
+  EXPECT_EQ(q.sample, 1);
+  EXPECT_EQ(q.attempts, 2);
+  EXPECT_EQ(q.code, ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(q.reason, "watchdog");
+  EXPECT_EQ(q.failed_codes, pinned_quarantine().failed_codes);
+}
+
+/// Silences the loader's expected torn-tail and salvage warnings.
+struct QuietLogs {
+  LogLevel saved = log_level();
+  QuietLogs() { set_log_level(LogLevel::kError); }
+  ~QuietLogs() { set_log_level(saved); }
+};
+
+TEST(CheckpointFormatTest, EveryTruncationAndBitFlipRejectedOrPrefix) {
+  // A header and three records: a sample with failed-attempt codes, a
+  // quarantine with codes and a reason, and a -0.0 sample. Every prefix and
+  // every single-bit flip of that log, in every LoadMode, must either raise
+  // IoError or yield a prefix of what was written — never altered data.
+  std::vector<CheckpointRecord> written = test_records();
+  written[0].failed_codes = {ErrorCode::kSingularMatrix};
+  written[1].failed_codes = {ErrorCode::kNoConvergence,
+                             ErrorCode::kSingularMatrix};
+  const CheckpointHeader header = test_header();
+  const std::string log = serialize_all(header, written);
+  const std::string path = test_path("mutation.ckpt");
+  const QuietLogs quiet;
+
+  std::size_t loads = 0;
+  std::size_t accepted = 0;
+  const auto check = [&](const std::string& bytes, const std::string& what) {
+    write_plain(path, bytes);
+    for (const LoadMode mode :
+         {LoadMode::kStrict, LoadMode::kRecoverTail, LoadMode::kSalvage}) {
+      ++loads;
+      CheckpointData data;
+      try {
+        data = load_checkpoint(path, mode);
+      } catch (const IoError&) {
+        continue;
+      }
+      ++accepted;
+      EXPECT_EQ(data.header.sample_matrix_hash, header.sample_matrix_hash)
+          << what;
+      EXPECT_EQ(data.header.config_hash, header.config_hash) << what;
+      EXPECT_EQ(data.header.total_rows, header.total_rows) << what;
+      ASSERT_LE(data.records.size(), written.size()) << what;
+      for (std::size_t i = 0; i < data.records.size(); ++i) {
+        ASSERT_TRUE(same_record(data.records[i], written[i]))
+            << what << ", mode " << static_cast<int>(mode) << ", record "
+            << i;
+      }
+    }
+  };
+
+  for (std::size_t len = 0; len < log.size(); ++len)
+    check(log.substr(0, len), "prefix of " + std::to_string(len) + " bytes");
+  for (std::size_t bit = 0; bit < 8 * log.size(); ++bit) {
+    std::string bytes = log;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    check(bytes, "bit " + std::to_string(bit) + " flipped");
+  }
+  // The sweep must exercise both outcomes, or it proves nothing.
+  EXPECT_EQ(loads, 3 * 9 * log.size());
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, loads);
 }
 
 // ---- sharded checkpoints --------------------------------------------------

@@ -1,0 +1,165 @@
+// Wire codec contract: every reader accessor fails closed with an IoError
+// naming its context when the buffer is one byte short, a declared length
+// is checked before anything is allocated for it, trailing bytes are
+// refused, and every writer/reader pair round-trips its extreme values bit
+// for bit.
+#include "io/wire.hpp"
+
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <limits>
+#include <new>
+#include <string>
+#include <string_view>
+
+#include <gtest/gtest.h>
+
+#include "util/errors.hpp"
+
+// Records the largest operator-new request made while armed, so a test can
+// show that a hostile declared length never reaches the allocator.
+namespace {
+thread_local bool g_track_allocations = false;
+thread_local std::size_t g_largest_allocation = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track_allocations && size > g_largest_allocation)
+    g_largest_allocation = size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace rsm::io {
+namespace {
+
+constexpr const char* kContext = "wire test artifact";
+
+/// `read` on `bytes` must throw IoError whose message names the reader's
+/// context.
+void expect_short(std::string_view bytes,
+                  const std::function<void(WireReader&)>& read,
+                  const char* accessor) {
+  WireReader in(bytes, kContext);
+  try {
+    read(in);
+    ADD_FAILURE() << accessor << " read past a " << bytes.size()
+                  << "-byte buffer";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(kContext), std::string::npos)
+        << accessor << ": " << e.what();
+  }
+}
+
+TEST(Wire, EveryAccessorOneByteShortThrowsNamingContext) {
+  const std::string full(16, '\x5a');
+  expect_short(full.substr(0, 0), [](WireReader& in) { (void)in.u8(); },
+               "u8");
+  expect_short(full.substr(0, 1), [](WireReader& in) { (void)in.u16(); },
+               "u16");
+  expect_short(full.substr(0, 3), [](WireReader& in) { (void)in.u32(); },
+               "u32");
+  expect_short(full.substr(0, 7), [](WireReader& in) { (void)in.u64(); },
+               "u64");
+  expect_short(full.substr(0, 7), [](WireReader& in) { (void)in.real(); },
+               "real");
+  expect_short(full.substr(0, 4), [](WireReader& in) { (void)in.raw(5); },
+               "raw");
+  // bytes(): first a length prefix one byte short, then a body one short.
+  expect_short(full.substr(0, 3), [](WireReader& in) { (void)in.bytes(); },
+               "bytes length");
+  std::string declared_five;
+  put_u32(declared_five, 5);
+  declared_five.append(4, 'x');
+  expect_short(declared_five, [](WireReader& in) { (void)in.bytes(); },
+               "bytes body");
+}
+
+TEST(Wire, DeclaredLengthBeyondBufferThrowsBeforeAllocating) {
+  constexpr std::uint32_t kDeclared = 64u << 20;  // 64 MiB, 8 bytes present
+  std::string bytes;
+  put_u32(bytes, kDeclared);
+  bytes.append(8, 'y');
+  WireReader in(bytes, kContext);
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  bool threw = false;
+  try {
+    (void)in.bytes();
+  } catch (const IoError&) {
+    threw = true;
+  }
+  g_track_allocations = false;
+  EXPECT_TRUE(threw);
+  // The error message itself allocates a little; nothing near the declared
+  // size may have been requested.
+  EXPECT_LT(g_largest_allocation, std::size_t{4096});
+}
+
+TEST(Wire, ExpectDoneRejectsTrailingBytes) {
+  std::string bytes;
+  put_u32(bytes, 7);
+  put_u8(bytes, 1);
+  WireReader in(bytes, kContext);
+  EXPECT_EQ(in.u32(), 7u);
+  try {
+    in.expect_done();
+    FAIL() << "expect_done accepted a trailing byte";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(kContext), std::string::npos);
+  }
+  EXPECT_EQ(in.u8(), 1u);
+  EXPECT_NO_THROW(in.expect_done());
+}
+
+TEST(Wire, ExtremeValuesRoundTripExactly) {
+  constexpr std::uint64_t kQuietNanPayload = 0x7ff8dead0000beefull;
+  constexpr std::uint64_t kNegativeSignalingNan = 0xfff0000000000001ull;
+  const Real reals[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<Real>::max(),
+      std::numeric_limits<Real>::lowest(),
+      std::numeric_limits<Real>::denorm_min(),
+      -std::numeric_limits<Real>::denorm_min(),
+      std::numeric_limits<Real>::infinity(),
+      std::bit_cast<Real>(kQuietNanPayload),
+      std::bit_cast<Real>(kNegativeSignalingNan),
+  };
+  std::string bytes;
+  for (const std::uint8_t v : {std::uint8_t{0}, std::uint8_t{0xff}})
+    put_u8(bytes, v);
+  for (const std::uint16_t v : {std::uint16_t{0}, std::uint16_t{0xffff}})
+    put_u16(bytes, v);
+  for (const std::uint32_t v : {0u, 0xffffffffu}) put_u32(bytes, v);
+  for (const std::uint64_t v : {std::uint64_t{0}, ~std::uint64_t{0}})
+    put_u64(bytes, v);
+  for (const Real v : reals) put_real(bytes, v);
+  const std::string blob("\0\xff raw", 6);
+  put_bytes(bytes, blob);
+  put_bytes(bytes, "");
+
+  WireReader in(bytes, kContext);
+  EXPECT_EQ(in.u8(), 0u);
+  EXPECT_EQ(in.u8(), 0xffu);
+  EXPECT_EQ(in.u16(), 0u);
+  EXPECT_EQ(in.u16(), 0xffffu);
+  EXPECT_EQ(in.u32(), 0u);
+  EXPECT_EQ(in.u32(), 0xffffffffu);
+  EXPECT_EQ(in.u64(), 0u);
+  EXPECT_EQ(in.u64(), ~std::uint64_t{0});
+  for (const Real v : reals) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(in.real()),
+              std::bit_cast<std::uint64_t>(v));
+  }
+  EXPECT_EQ(in.bytes(), blob);
+  EXPECT_EQ(in.bytes(), "");
+  EXPECT_NO_THROW(in.expect_done());
+}
+
+}  // namespace
+}  // namespace rsm::io

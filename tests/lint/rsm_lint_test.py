@@ -34,6 +34,8 @@ EXPECTED_RULE_FINDINGS = {
     "no-raw-thread": 2,        # std::thread, std::async (exact; see below)
     "no-naked-mutex": 3,       # std::mutex, std::condition_variable,
                                # std::lock_guard (exact; see below)
+    "one-wire-codec": 2,       # hand-rolled LE writer + reader
+                               # (exact; see below)
 }
 
 failures = []
@@ -103,6 +105,13 @@ def main():
     check(hits == 3,
           f"no-naked-mutex fires exactly three times on the fixture "
           f"(got {hits})")
+
+    # 3e. one-wire-codec is exact: the constant and nibble-width shifts,
+    #     the comment/string mentions and the rsm-lint-allow'd line in
+    #     bad_wire.cpp must stay silent.
+    hits = full_out.count("[one-wire-codec]")
+    check(hits == 2,
+          f"one-wire-codec fires exactly twice on the fixture (got {hits})")
 
     # 4. Disabling every rule yields a clean exit on the fixture tree.
     code, _ = run_lint("--root", str(BADTREE), "--include-fixtures",

@@ -23,7 +23,7 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/wire.hpp"
+#include "io/wire.hpp"
 #include "stats/rng.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
@@ -103,7 +103,7 @@ struct ErrorFrame {
 
 ErrorFrame parse_error(const Frame& frame) {
   EXPECT_EQ(frame.type, MessageType::kErrorResponse);
-  WireReader in(frame.payload, "chaos error frame");
+  io::WireReader in(frame.payload, "chaos error frame");
   ErrorFrame out;
   out.code = static_cast<ErrorCode>(in.u8());
   out.message = in.bytes();
@@ -141,10 +141,10 @@ class ChaosTest : public ::testing::Test {
   [[nodiscard]] static std::string eval_payload(const std::vector<Real>& x,
                                                 std::uint32_t version = 0) {
     std::string payload;
-    put_bytes(payload, "m");
-    put_u32(payload, version);  // 0 = latest
-    put_u32(payload, static_cast<std::uint32_t>(x.size()));
-    for (const Real v : x) put_real(payload, v);
+    io::put_bytes(payload, "m");
+    io::put_u32(payload, version);  // 0 = latest
+    io::put_u32(payload, static_cast<std::uint32_t>(x.size()));
+    for (const Real v : x) io::put_real(payload, v);
     return payload;
   }
 
@@ -256,7 +256,7 @@ TEST_F(ChaosTest, SheddingNeverBlocksHealthyConnections) {
   const std::optional<Frame> response = healthy.next_frame();
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->type, MessageType::kEvalResponse);
-  WireReader in(response->payload, "healthy eval");
+  io::WireReader in(response->payload, "healthy eval");
   EXPECT_TRUE(same_bits(in.real(), model_.predict(point)));
 
   // The budget is per poll cycle: the same client retrying next cycle — the
@@ -341,12 +341,12 @@ TEST_F(ChaosTest, StalledReaderIsClosedByWriteDeadline) {
   // send buffer, so one blocking send cannot deadlock against the server.
   const Index rows = 4096;
   std::string payload;
-  put_bytes(payload, "m");
-  put_u32(payload, 0);
-  put_u32(payload, static_cast<std::uint32_t>(rows));
-  put_u32(payload, static_cast<std::uint32_t>(kVars));
+  io::put_bytes(payload, "m");
+  io::put_u32(payload, 0);
+  io::put_u32(payload, static_cast<std::uint32_t>(rows));
+  io::put_u32(payload, static_cast<std::uint32_t>(kVars));
   for (Index r = 0; r < rows; ++r)
-    for (Index c = 0; c < kVars; ++c) put_real(payload, 0.125);
+    for (Index c = 0; c < kVars; ++c) io::put_real(payload, 0.125);
   stalled.send_raw(encode_frame(MessageType::kEvalBatchRequest, payload));
 
   // Cycle until the request is fully read, the partially flushed response
@@ -434,19 +434,19 @@ TEST_F(ChaosTest, HotReloadDropsNoInFlightRequestAndSwapsVersions) {
     const std::optional<Frame> response = client.next_frame();
     ASSERT_TRUE(response.has_value()) << "pre-reload eval " << i;
     ASSERT_EQ(response->type, MessageType::kEvalResponse);
-    WireReader in(response->payload, "pre-reload eval");
+    io::WireReader in(response->payload, "pre-reload eval");
     EXPECT_TRUE(same_bits(in.real(), expected));
   }
   const std::optional<Frame> reload = client.next_frame();
   ASSERT_TRUE(reload.has_value());
   ASSERT_EQ(reload->type, MessageType::kReloadResponse);
-  WireReader counts(reload->payload, "reload response");
+  io::WireReader counts(reload->payload, "reload response");
   EXPECT_EQ(counts.u32(), 1u);  // reloaded
   EXPECT_EQ(counts.u32(), 0u);  // failed
   const std::optional<Frame> after = client.next_frame();
   ASSERT_TRUE(after.has_value()) << "eval after reload lost";
   ASSERT_EQ(after->type, MessageType::kEvalResponse);
-  WireReader in(after->payload, "post-reload eval");
+  io::WireReader in(after->payload, "post-reload eval");
   EXPECT_TRUE(same_bits(in.real(), expected));  // same bytes, v2 == v1 here
 
   EXPECT_EQ(server_->stats().reloads, 1u);
@@ -480,7 +480,7 @@ TEST_F(ChaosTest, ReloadToCorruptVersionKeepsServingLastGood) {
   const std::optional<Frame> reload = client.next_frame();
   ASSERT_TRUE(reload.has_value());
   ASSERT_EQ(reload->type, MessageType::kReloadResponse);
-  WireReader counts(reload->payload, "reload response");
+  io::WireReader counts(reload->payload, "reload response");
   EXPECT_EQ(counts.u32(), 0u);  // reloaded
   EXPECT_EQ(counts.u32(), 1u);  // failed
   EXPECT_EQ(server_->stats().reload_failures, 1u);
@@ -495,7 +495,7 @@ TEST_F(ChaosTest, ReloadToCorruptVersionKeepsServingLastGood) {
     const std::optional<Frame> response = client.next_frame();
     ASSERT_TRUE(response.has_value()) << "post-corruption eval " << i;
     ASSERT_EQ(response->type, MessageType::kEvalResponse);
-    WireReader in(response->payload, "last-good eval");
+    io::WireReader in(response->payload, "last-good eval");
     EXPECT_TRUE(same_bits(in.real(), expected));
   }
   EXPECT_EQ(server_->stats().reload_failures, 1u);
@@ -611,7 +611,7 @@ TEST_F(ChaosTest, InjectorScheduledStormLeavesServerConsistent) {
   const std::optional<Frame> response = survivor.next_frame();
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->type, MessageType::kEvalResponse);
-  WireReader in(response->payload, "survivor eval");
+  io::WireReader in(response->payload, "survivor eval");
   EXPECT_TRUE(same_bits(in.real(), model_.predict(point)));
 }
 

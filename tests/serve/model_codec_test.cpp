@@ -17,6 +17,7 @@
 #include "io/crc32.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
+#include "support/hex.hpp"
 #include "util/errors.hpp"
 
 namespace rsm::serve {
@@ -180,6 +181,106 @@ TEST(ModelCodec, EmptyModelRoundTrips) {
   const SparseModel decoded = decode_model(encode_model(model));
   EXPECT_EQ(decoded.num_terms(), 0);
   EXPECT_EQ(decoded.dictionary().num_variables(), 3);
+}
+
+// quadratic(2) with terms {0: 1.25, 2: -3.5e-7, 4: 42}, as an earlier build
+// of the codec wrote it. Published artifacts outlive builds, so these bytes
+// must never change.
+constexpr const char* kPinnedModelHex =
+    "52534d4d4f444c0a010000000200000006000000000001000000000001000100010000"
+    "000100010000000000020001000100000002000200000000000100010000000100d2a9"
+    "3ad0a76ad8900300000000000000000000000000f43f020000005f196547f47c97be04"
+    "0000000000000000004540e274a340";
+
+TEST(ModelCodec, EncodingMatchesPinnedBytes) {
+  auto dict = std::make_shared<BasisDictionary>(BasisDictionary::quadratic(2));
+  const SparseModel model(dict, {{0, 1.25}, {2, -3.5e-7}, {4, 42.0}});
+  const std::string pinned = from_hex(kPinnedModelHex);
+  EXPECT_EQ(encode_model(model), pinned);
+
+  const SparseModel decoded = decode_model(pinned);
+  ASSERT_EQ(decoded.dictionary().num_variables(), 2);
+  ASSERT_EQ(decoded.dictionary().size(), dict->size());
+  for (Index m = 0; m < dict->size(); ++m)
+    EXPECT_EQ(decoded.dictionary().index(m), dict->index(m)) << "index " << m;
+  ASSERT_EQ(decoded.num_terms(), 3);
+  const Index indices[] = {0, 2, 4};
+  const Real coefficients[] = {1.25, -3.5e-7, 42.0};
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(decoded.terms()[t].basis_index, indices[t]);
+    EXPECT_TRUE(same_bits(decoded.terms()[t].coefficient, coefficients[t]));
+  }
+}
+
+// Saving and loading a model or its dictionary means encode_model and
+// decode_model: the codec artifact is the one model format.
+
+TEST(SparseModel, SaveLoadRoundTrip) {
+  auto dict = std::make_shared<BasisDictionary>(BasisDictionary::quadratic(3));
+  const SparseModel model(dict, {{0, 1.25}, {2, -3.5e-7}, {8, 42.0}});
+  const SparseModel loaded = decode_model(encode_model(model));
+  ASSERT_EQ(loaded.num_terms(), model.num_terms());
+  Rng rng(603);
+  const Matrix samples = monte_carlo_normal(5, 3, rng);
+  for (Index k = 0; k < 5; ++k)
+    EXPECT_TRUE(same_bits(loaded.predict(samples.row(k)),
+                          model.predict(samples.row(k))));
+}
+
+TEST(SparseModel, LoadRejectsGarbage) {
+  EXPECT_THROW((void)decode_model("not_a_model x"), IoError);
+}
+
+TEST(Dictionary, SaveLoadRoundTrip) {
+  auto dict =
+      std::make_shared<BasisDictionary>(BasisDictionary::hyperbolic(7, 3));
+  const SparseModel model(dict, {{0, 1.0}});
+  const SparseModel loaded = decode_model(encode_model(model));
+  const BasisDictionary& reloaded = loaded.dictionary();
+  ASSERT_EQ(reloaded.size(), dict->size());
+  ASSERT_EQ(reloaded.num_variables(), dict->num_variables());
+  EXPECT_EQ(reloaded.max_order(), dict->max_order());
+  for (Index m = 0; m < dict->size(); ++m)
+    EXPECT_EQ(reloaded.index(m), dict->index(m)) << "index " << m;
+}
+
+TEST(Dictionary, SavedModelReloadsAgainstSavedDictionary) {
+  // The deployment round trip: a model and its dictionary are published as
+  // one artifact and reloaded together; basis values and predictions are
+  // bit-identical.
+  Rng rng(59);
+  auto dict = std::make_shared<BasisDictionary>(BasisDictionary::quadratic(5));
+  const SparseModel model(dict, {{0, 0.5}, {3, -2.0}, {17, 0.125}});
+  const SparseModel loaded = decode_model(encode_model(model));
+  const BasisDictionary& reloaded = loaded.dictionary();
+  const Matrix samples = monte_carlo_normal(10, 5, rng);
+  for (Index k = 0; k < 10; ++k) {
+    for (Index m = 0; m < dict->size(); ++m)
+      EXPECT_DOUBLE_EQ(reloaded.evaluate(m, samples.row(k)),
+                       dict->evaluate(m, samples.row(k)));
+    EXPECT_TRUE(same_bits(loaded.predict(samples.row(k)),
+                          model.predict(samples.row(k))));
+  }
+}
+
+TEST(Dictionary, LoadRejectsGarbage) {
+  EXPECT_THROW((void)decode_model("who knows"), IoError);
+  // A sealed artifact whose dictionary section is nonsense: zero variables,
+  // then a factor naming a variable beyond the dictionary's width.
+  auto dict = std::make_shared<BasisDictionary>(BasisDictionary::linear(2));
+  const std::string good = encode_model(SparseModel(dict, {{1, 1.0}}));
+  const std::size_t num_variables_at = kModelMagic.size() + 4;
+  std::string zero_width = good;
+  std::memset(zero_width.data() + num_variables_at, 0, 4);
+  fix_crc(zero_width);
+  EXPECT_THROW((void)decode_model(zero_width), IoError);
+  // linear(2): u32 nvars, u32 nidx, constant (u16 0), then index 1's
+  // u16 factor count before its u32 variable.
+  const std::size_t variable_at = num_variables_at + 4 + 4 + 2 + 2;
+  std::string wide = good;
+  wide[variable_at] = 99;
+  fix_crc(wide);
+  EXPECT_THROW((void)decode_model(wide), IoError);
 }
 
 }  // namespace

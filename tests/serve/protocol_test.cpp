@@ -4,12 +4,17 @@
 // is interpreted.
 #include "serve/protocol.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "io/wire.hpp"
+#include "support/hex.hpp"
 #include "util/errors.hpp"
 
 namespace rsm::serve {
@@ -97,6 +102,103 @@ TEST(Protocol, PartialHeaderIsIncompleteNotError) {
   buffer.resize(kFrameHeaderBytes - 1);
   EXPECT_FALSE(try_extract_frame(buffer).has_value());
   EXPECT_EQ(buffer.size(), kFrameHeaderBytes - 1);  // nothing consumed
+}
+
+// An eval request for model "srv", version 0, at sample (0.5, -1.25), as
+// an earlier build of the protocol framed it. Deployed clients speak these
+// bytes, so they must never change.
+constexpr const char* kPinnedEvalFrameHex =
+    "52534631011f000000030000007372760000000002000000000000000000e03f000000"
+    "000000f4bf269c30cd";
+
+TEST(Protocol, EvalFrameMatchesPinnedBytes) {
+  std::string payload;
+  io::put_bytes(payload, "srv");
+  io::put_u32(payload, 0);
+  io::put_u32(payload, 2);
+  io::put_real(payload, 0.5);
+  io::put_real(payload, -1.25);
+  const std::string pinned = from_hex(kPinnedEvalFrameHex);
+  EXPECT_EQ(encode_frame(MessageType::kEvalRequest, payload), pinned);
+
+  std::string buffer = pinned;
+  const std::optional<Frame> frame = try_extract_frame(buffer);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(frame->type, MessageType::kEvalRequest);
+  io::WireReader in(frame->payload, "pinned eval request");
+  EXPECT_EQ(in.bytes(), "srv");
+  EXPECT_EQ(in.u32(), 0u);
+  ASSERT_EQ(in.u32(), 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(in.real()),
+            std::bit_cast<std::uint64_t>(0.5));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(in.real()),
+            std::bit_cast<std::uint64_t>(-1.25));
+  in.expect_done();
+}
+
+TEST(Protocol, EveryTruncationAndBitFlipFailsClosed) {
+  // Every prefix and every single-bit flip of a few real frames must be
+  // "incomplete" (nullopt) or a ProtocolError, must leave the receive
+  // buffer untouched, and must never yield a frame that differs from the
+  // one encoded.
+  std::string eval;
+  io::put_bytes(eval, "m");
+  io::put_u32(eval, 0);
+  io::put_u32(eval, 2);
+  io::put_real(eval, 0.25);
+  io::put_real(eval, -3.0);
+  std::string batch;
+  io::put_bytes(batch, "m");
+  io::put_u32(batch, 7);
+  io::put_u32(batch, 2);
+  io::put_u32(batch, 2);
+  for (const Real v : {1.0, -0.0, 1e-300, 2.5}) io::put_real(batch, v);
+  std::string error;
+  io::put_u8(error, static_cast<std::uint8_t>(ErrorCode::kOverloaded));
+  io::put_bytes(error, "server overloaded; retry");
+  io::put_u32(error, 25);
+  const std::vector<Frame> frames = {
+      {MessageType::kEvalRequest, eval},
+      {MessageType::kEvalBatchRequest, batch},
+      {MessageType::kErrorResponse, error},
+  };
+
+  std::size_t attempts = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](const Frame& original, const std::string& input,
+                         const std::string& what) {
+    ++attempts;
+    std::string buffer = input;
+    std::optional<Frame> frame;
+    try {
+      frame = try_extract_frame(buffer);
+    } catch (const ProtocolError&) {
+      ++rejected;
+      EXPECT_EQ(buffer, input) << what << ": a rejected frame was consumed";
+      return;
+    }
+    if (!frame.has_value()) {
+      EXPECT_EQ(buffer, input) << what << ": an incomplete frame was consumed";
+      return;
+    }
+    EXPECT_EQ(frame->type, original.type) << what;
+    EXPECT_EQ(frame->payload, original.payload) << what;
+  };
+
+  for (const Frame& original : frames) {
+    const std::string wire = encode_frame(original.type, original.payload);
+    for (std::size_t len = 0; len < wire.size(); ++len)
+      check(original, wire.substr(0, len),
+            "prefix of " + std::to_string(len) + " bytes");
+    for (std::size_t bit = 0; bit < 8 * wire.size(); ++bit) {
+      std::string bytes = wire;
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+      check(original, bytes, "bit " + std::to_string(bit) + " flipped");
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, attempts);
 }
 
 }  // namespace

@@ -21,8 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "core/yield.hpp"
+#include "io/wire.hpp"
 #include "serve/model_codec.hpp"
-#include "serve/wire.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
 #include "util/errors.hpp"
@@ -101,7 +101,7 @@ struct ErrorFrame {
 
 ErrorFrame parse_error(const Frame& frame) {
   EXPECT_EQ(frame.type, MessageType::kErrorResponse);
-  WireReader in(frame.payload, "test error frame");
+  io::WireReader in(frame.payload, "test error frame");
   const auto code = static_cast<ErrorCode>(in.u8());
   return {code, std::string(in.bytes())};
 }
@@ -151,10 +151,10 @@ class ServerTest : public ::testing::Test {
 
   [[nodiscard]] static std::string eval_payload(std::span<const Real> point) {
     std::string payload;
-    put_bytes(payload, "m");
-    put_u32(payload, 0);  // version 0 = latest
-    put_u32(payload, static_cast<std::uint32_t>(point.size()));
-    for (const Real x : point) put_real(payload, x);
+    io::put_bytes(payload, "m");
+    io::put_u32(payload, 0);  // version 0 = latest
+    io::put_u32(payload, static_cast<std::uint32_t>(point.size()));
+    for (const Real x : point) io::put_real(payload, x);
     return payload;
   }
 
@@ -174,7 +174,7 @@ TEST_F(ServerTest, EvalIsBitIdenticalToInProcessPredict) {
     const std::optional<Frame> response = client.recv_frame();
     ASSERT_TRUE(response.has_value());
     ASSERT_EQ(response->type, MessageType::kEvalResponse);
-    WireReader in(response->payload, "eval response");
+    io::WireReader in(response->payload, "eval response");
     ASSERT_TRUE(same_bits(in.real(), model_.predict(points.row(r))));
   }
 }
@@ -185,18 +185,18 @@ TEST_F(ServerTest, EvalBatchSplitsAcrossPoolAndMatchesBitwise) {
   const Index rows = 50;  // > batch_chunk (8): forces the pooled split path
   const Matrix points = monte_carlo_normal(rows, kVars, rng);
   std::string payload;
-  put_bytes(payload, "m");
-  put_u32(payload, 0);
-  put_u32(payload, static_cast<std::uint32_t>(rows));
-  put_u32(payload, static_cast<std::uint32_t>(kVars));
+  io::put_bytes(payload, "m");
+  io::put_u32(payload, 0);
+  io::put_u32(payload, static_cast<std::uint32_t>(rows));
+  io::put_u32(payload, static_cast<std::uint32_t>(kVars));
   for (Index r = 0; r < rows; ++r)
-    for (Index c = 0; c < kVars; ++c) put_real(payload, points(r, c));
+    for (Index c = 0; c < kVars; ++c) io::put_real(payload, points(r, c));
   client.send_frame(MessageType::kEvalBatchRequest, payload);
 
   const std::optional<Frame> response = client.recv_frame();
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->type, MessageType::kEvalBatchResponse);
-  WireReader in(response->payload, "eval_batch response");
+  io::WireReader in(response->payload, "eval_batch response");
   ASSERT_EQ(in.u32(), static_cast<std::uint32_t>(rows));
   std::vector<Real> expected(static_cast<std::size_t>(rows));
   model_.predict_batch(points, expected);
@@ -208,18 +208,18 @@ TEST_F(ServerTest, EvalBatchSplitsAcrossPoolAndMatchesBitwise) {
 TEST_F(ServerTest, YieldMatchesInProcessEstimate) {
   TestClient client(socket_path());
   std::string payload;
-  put_bytes(payload, "m");
-  put_u32(payload, 0);
-  put_real(payload, -1e30);
-  put_real(payload, 1.0);
-  put_u64(payload, 5000);
-  put_u64(payload, 77);
+  io::put_bytes(payload, "m");
+  io::put_u32(payload, 0);
+  io::put_real(payload, -1e30);
+  io::put_real(payload, 1.0);
+  io::put_u64(payload, 5000);
+  io::put_u64(payload, 77);
   client.send_frame(MessageType::kYieldRequest, payload);
 
   const std::optional<Frame> response = client.recv_frame();
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->type, MessageType::kYieldResponse);
-  WireReader in(response->payload, "yield response");
+  io::WireReader in(response->payload, "yield response");
 
   Specification spec;
   spec.lower = -1e30;
@@ -237,10 +237,10 @@ TEST_F(ServerTest, BadRequestsEarnStructuredErrorsAndConnectionSurvives) {
 
   // Unknown model: io-error.
   std::string payload;
-  put_bytes(payload, "ghost");
-  put_u32(payload, 0);
-  put_u32(payload, 1);
-  put_real(payload, 0.0);
+  io::put_bytes(payload, "ghost");
+  io::put_u32(payload, 0);
+  io::put_u32(payload, 1);
+  io::put_real(payload, 0.0);
   client.send_frame(MessageType::kEvalRequest, payload);
   std::optional<Frame> response = client.recv_frame();
   ASSERT_TRUE(response.has_value());
@@ -289,7 +289,7 @@ TEST_F(ServerTest, FramingCorruptionClosesOnlyThatConnection) {
   const std::optional<Frame> listing = bystander.recv_frame();
   ASSERT_TRUE(listing.has_value());
   EXPECT_EQ(listing->type, MessageType::kListModelsResponse);
-  WireReader in(listing->payload, "list response");
+  io::WireReader in(listing->payload, "list response");
   EXPECT_EQ(in.u32(), 1u);
 }
 
@@ -308,7 +308,7 @@ TEST_F(ServerTest, CancellationDrainsEveryBufferedRequest) {
     const std::optional<Frame> response = client.recv_frame();
     ASSERT_TRUE(response.has_value()) << "response " << i << " lost in drain";
     ASSERT_EQ(response->type, MessageType::kEvalResponse);
-    WireReader in(response->payload, "drained eval");
+    io::WireReader in(response->payload, "drained eval");
     ASSERT_TRUE(same_bits(in.real(), expected));
   }
   EXPECT_TRUE(client.at_eof());
