@@ -174,7 +174,8 @@ void ablation_joint_selection() {
   for (int i = 0; i < 4; ++i)
     responses.set_col(i, train.metric_values(circuits::kAllOpAmpMetrics[i]));
   const SompResult joint = SompSolver().fit(
-      g, responses, static_cast<Index>(union_support.size()));
+      MaterializedSource(g), responses,
+      static_cast<Index>(union_support.size()));
   Real joint_err = 0;
   for (int i = 0; i < 4; ++i) {
     std::vector<ModelTerm> terms;

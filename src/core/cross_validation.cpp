@@ -1,6 +1,7 @@
 #include "core/cross_validation.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -38,6 +39,16 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
 
   CrossValidationResult result;
   result.fold_curves.resize(static_cast<std::size_t>(q));
+  const auto skip_fold = [&](int fold, const char* why) {
+    RSM_WARN("cross-validation: skipping degenerate fold " << fold << ": "
+                                                           << why);
+    ++result.skipped_folds;
+    result.fold_curves[static_cast<std::size_t>(fold)].clear();
+    if (obs::telemetry_enabled()) {
+      obs::emit(obs::CvFoldEvent{
+          .solver = solver.name(), .fold = fold, .skipped = true});
+    }
+  };
 
   for (int fold = 0; fold < q; ++fold) {
     RSM_TRACE_SPAN("cv.fold");
@@ -78,14 +89,7 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
           throw;
         }
       }
-      RSM_WARN("cross-validation: skipping degenerate fold " << fold << ": "
-                                                             << e.what());
-      ++result.skipped_folds;
-      if (obs::telemetry_enabled()) {
-        obs::emit(obs::CvFoldEvent{.solver = solver.name(),
-                                   .fold = fold,
-                                   .skipped = true});
-      }
+      skip_fold(fold, e.what());
       continue;
     }
     std::vector<Real>& curve =
@@ -107,6 +111,12 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
           pred[r] += coef[s] * column[r];
       }
       curve.push_back(relative_rms_error(pred, f_test));
+    }
+    // A non-finite error (a NaN or Inf coefficient) would poison the
+    // averaged curve and could choose lambda: treat it as a failed fit.
+    if (!std::ranges::all_of(curve, [](Real e) { return std::isfinite(e); })) {
+      skip_fold(fold, "non-finite held-out error on the path");
+      continue;
     }
 
     if (obs::telemetry_enabled() && !curve.empty()) {

@@ -29,8 +29,9 @@ struct CrossValidationResult {
   /// empty curve at its position.
   std::vector<std::vector<Real>> fold_curves;
 
-  /// Folds whose path fit failed (degenerate training block) and were
-  /// excluded from the averaged curve rather than aborting the CV run.
+  /// Folds whose path fit failed (degenerate training block) or whose
+  /// held-out curve holds a NaN or Inf, excluded from the averaged curve
+  /// rather than aborting the CV run.
   int skipped_folds = 0;
 };
 

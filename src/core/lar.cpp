@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
+#include "linalg/cholesky.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -13,61 +13,12 @@
 namespace rsm {
 namespace {
 
-/// Incrementally grown Cholesky of the Gram matrix of a set of unit-norm
-/// columns. Supports append (O(p^2)) and remove (rebuild, O(p^3), rare —
-/// only on LASSO drops).
-class ActiveGramCholesky {
- public:
-  explicit ActiveGramCholesky(Index max_size) : l_(max_size, max_size) {}
-
-  [[nodiscard]] Index size() const { return p_; }
-
-  /// Appends a column with the given cross products g = X_A' x_new and
-  /// squared norm. Returns false if the new column is numerically in the
-  /// span of the active set.
-  [[nodiscard]] bool append(std::span<const Real> cross, Real squared_norm) {
-    RSM_CHECK(static_cast<Index>(cross.size()) == p_);
-    // Solve L l12 = cross.
-    std::vector<Real> l12(static_cast<std::size_t>(p_));
-    for (Index i = 0; i < p_; ++i) {
-      Real s = cross[static_cast<std::size_t>(i)];
-      for (Index k = 0; k < i; ++k) s -= l_(i, k) * l12[static_cast<std::size_t>(k)];
-      l12[static_cast<std::size_t>(i)] = s / l_(i, i);
-    }
-    Real d = squared_norm;
-    for (Real v : l12) d -= v * v;
-    if (d <= Real{1e-12} * squared_norm) return false;
-    for (Index i = 0; i < p_; ++i) l_(p_, i) = l12[static_cast<std::size_t>(i)];
-    l_(p_, p_) = std::sqrt(d);
-    ++p_;
-    return true;
-  }
-
-  /// Empties the factor; a LASSO drop re-appends the remaining columns.
-  void clear() { p_ = 0; }
-
-  /// Solves (X_A' X_A) v = rhs.
-  [[nodiscard]] std::vector<Real> solve(std::span<const Real> rhs) const {
-    RSM_CHECK(static_cast<Index>(rhs.size()) == p_);
-    std::vector<Real> v(rhs.begin(), rhs.end());
-    for (Index i = 0; i < p_; ++i) {
-      Real s = v[static_cast<std::size_t>(i)];
-      for (Index k = 0; k < i; ++k) s -= l_(i, k) * v[static_cast<std::size_t>(k)];
-      v[static_cast<std::size_t>(i)] = s / l_(i, i);
-    }
-    for (Index i = p_ - 1; i >= 0; --i) {
-      Real s = v[static_cast<std::size_t>(i)];
-      for (Index k = i + 1; k < p_; ++k)
-        s -= l_(k, i) * v[static_cast<std::size_t>(k)];
-      v[static_cast<std::size_t>(i)] = s / l_(i, i);
-    }
-    return v;
-  }
-
- private:
-  Index p_ = 0;
-  Matrix l_;
-};
+// The path stops once the largest |correlation| falls below
+// kCorrelationTolerance times its initial value; a column whose Cholesky
+// pivot is not above kPivotTolerance times its squared norm is collinear
+// with the active set and skipped.
+constexpr Real kCorrelationTolerance = 1e-12;
+constexpr Real kPivotTolerance = 1e-12;
 
 }  // namespace
 
@@ -129,7 +80,7 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
   std::vector<Real> signs;
   std::vector<Real> beta;  // coefficients in normalized space, active order
   std::vector<bool> in_active(static_cast<std::size_t>(num_columns), false);
-  ActiveGramCholesky chol(std::min(num_samples, max_steps + 1));
+  CholeskyFactorization chol(std::min(num_samples, max_steps + 1));
 
   correlate(residual, c);
   const Real c0 = max_abs(c);
@@ -147,7 +98,7 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
     if (!just_dropped) {
       // Admit the most correlated inactive column.
       Index best = -1;
-      Real best_val = options_.correlation_tolerance * c0;
+      Real best_val = kCorrelationTolerance * c0;
       for (Index j = 0; j < num_columns; ++j) {
         if (in_active[static_cast<std::size_t>(j)] ||
             !usable[static_cast<std::size_t>(j)])
@@ -163,7 +114,8 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
       // Cross products of the normalized candidate with the active columns.
       source.column(best, column);
       scale(inv_scale[static_cast<std::size_t>(best)], column);
-      if (!chol.append(cross_products(column, active.size()), Real{1})) {
+      if (!chol.append(cross_products(column, active.size()), Real{1},
+                       kPivotTolerance)) {
         usable[static_cast<std::size_t>(best)] = false;  // collinear; skip
         continue;
       }
@@ -195,7 +147,7 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
     Real cmax = 0;
     for (Index j : active)
       cmax = std::max(cmax, std::abs(c[static_cast<std::size_t>(j)]));
-    if (cmax <= options_.correlation_tolerance * c0) break;
+    if (cmax <= kCorrelationTolerance * c0) break;
 
     // Step length to the next tie (Efron et al., eq. 2.13).
     Real gamma = cmax / a_norm;  // full LS step if nothing ties
@@ -247,8 +199,9 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
       chol.clear();
       for (std::size_t i = 0; i < active.size(); ++i) {
         const std::span<const Real> x_i = active_column(i);
-        RSM_CHECK_MSG(chol.append(cross_products(x_i, i), dot(x_i, x_i)),
-                      "active set became singular after LASSO drop");
+        RSM_CHECK_MSG(
+            chol.append(cross_products(x_i, i), dot(x_i, x_i), kPivotTolerance),
+            "active set became singular after LASSO drop");
       }
       just_dropped = true;
     }

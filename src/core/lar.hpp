@@ -14,8 +14,9 @@
 //    per column, and only the normalized active columns are kept, in one
 //    contiguous K x lambda block; reported coefficients are de-normalized
 //    back to design-matrix scale;
-//  - the active-set Gram matrix keeps an incrementally grown Cholesky
-//    factor (O(p^2) per added column, rebuild on LASSO drop);
+//  - the active-set Gram matrix is factored by linalg's
+//    CholeskyFactorization, grown one row per admitted column (O(p^2)) and,
+//    after a LASSO drop, cleared and re-grown from the remaining columns;
 //  - per step the dominant cost is two K x M correlations (c = G'r and
 //    a = G'u), about twice OMP's one — visible in the paper's fitting-cost
 //    rows (Tables I/III/IV: LAR fitting time ~2x OMP).
@@ -31,10 +32,6 @@ class LarSolver final : public PathSolver {
     /// Apply the LASSO modification (drop variables whose coefficient
     /// crosses zero). Off = pure LAR, as used in the paper.
     bool lasso = false;
-
-    /// Stop when the maximal absolute correlation falls below this times
-    /// its initial value.
-    Real correlation_tolerance = 1e-12;
   };
 
   LarSolver() = default;

@@ -55,9 +55,10 @@ SolverPath OmpSolver::fit_path(const ColumnSource& source,
     if (best < 0) break;  // everything selected
 
     // Step 5-6: grow the QR with the new column; if it is numerically
-    // dependent on the active set, mark it and try the next candidate.
+    // dependent on the active set (IncrementalQr::kDependenceTolerance),
+    // mark it and try the next candidate.
     source.column(best, column);
-    if (!qr.append_column(column, options_.dependence_tolerance)) {
+    if (!qr.append_column(column)) {
       selected[static_cast<std::size_t>(best)] = true;
       --step;  // retry this step with the next-best column
       continue;

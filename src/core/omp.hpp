@@ -17,10 +17,6 @@ class OmpSolver final : public PathSolver {
     /// Stop when the residual norm falls below this fraction of ||F||_2
     /// (0 disables early stopping; cross-validation then picks lambda).
     Real residual_tolerance = 0;
-
-    /// Columns whose orthogonalized remainder is below this (relative)
-    /// threshold are skipped as numerically dependent on the active set.
-    Real dependence_tolerance = 1e-10;
   };
 
   OmpSolver() = default;

@@ -10,11 +10,11 @@
 
 namespace rsm {
 
-SompResult SompSolver::fit(const Matrix& g, const Matrix& responses,
+SompResult SompSolver::fit(const ColumnSource& source, const Matrix& responses,
                            Index max_terms) const {
   RSM_TRACE_SPAN("somp.fit");
-  const Index k = g.rows();
-  const Index m = g.cols();
+  const Index k = source.rows();
+  const Index m = source.num_columns();
   const Index num_responses = responses.cols();
   RSM_CHECK(responses.rows() == k);
   RSM_CHECK(max_terms > 0 && num_responses > 0);
@@ -22,9 +22,9 @@ SompResult SompSolver::fit(const Matrix& g, const Matrix& responses,
 
   // Normalize each response by its 2-norm so large-magnitude metrics do not
   // dominate the joint score.
-  std::vector<std::vector<Real>> residuals(
-      static_cast<std::size_t>(num_responses));
-  std::vector<Real> response_scale(static_cast<std::size_t>(num_responses));
+  const auto responses_count = static_cast<std::size_t>(num_responses);
+  std::vector<std::vector<Real>> residuals(responses_count);
+  std::vector<Real> response_scale(responses_count);
   for (Index r = 0; r < num_responses; ++r) {
     residuals[static_cast<std::size_t>(r)] = responses.col(r);
     response_scale[static_cast<std::size_t>(r)] = std::max(
@@ -33,25 +33,30 @@ SompResult SompSolver::fit(const Matrix& g, const Matrix& responses,
 
   IncrementalQr qr(k, max_terms);
   std::vector<bool> selected(static_cast<std::size_t>(m), false);
+  std::vector<std::vector<Real>> correlations(
+      responses_count, std::vector<Real>(static_cast<std::size_t>(m)));
+  std::vector<Real> column(static_cast<std::size_t>(k));
   SompResult result;
   Real first_best_score = -1;
 
   for (Index step = 0; step < max_terms; ++step) {
     RSM_TRACE_SPAN("somp.iteration");
-    // Joint score per column: sum_r (G_j' res_r / ||f_r||)^2. Response
-    // normalization keeps large-magnitude metrics from dominating; columns
-    // are NOT norm-normalized, matching the paper's inner-product criterion
+    // Joint score per column: sum_r (G_j' res_r / ||f_r||)^2, from one
+    // correlation scan per response. Response normalization keeps
+    // large-magnitude metrics from dominating; columns are NOT
+    // norm-normalized, matching the paper's inner-product criterion
     // (eq. 14) — so with a single response the selection sequence is
     // exactly OMP's.
+    for (std::size_t r = 0; r < responses_count; ++r)
+      source.correlate(residuals[r], correlations[r]);
     Index best = -1;
     Real best_score = -1;
     for (Index j = 0; j < m; ++j) {
       if (selected[static_cast<std::size_t>(j)]) continue;
-      const std::vector<Real> col = g.col(j);
       Real score = 0;
-      for (Index r = 0; r < num_responses; ++r) {
-        const Real c = dot(col, residuals[static_cast<std::size_t>(r)]) /
-                       response_scale[static_cast<std::size_t>(r)];
+      for (std::size_t r = 0; r < responses_count; ++r) {
+        const Real c =
+            correlations[r][static_cast<std::size_t>(j)] / response_scale[r];
         score += c * c;
       }
       if (score > best_score) {
@@ -66,12 +71,12 @@ SompResult SompSolver::fit(const Matrix& g, const Matrix& responses,
       break;
     }
 
-    if (!qr.append_column(g.col(best), options_.dependence_tolerance)) {
-      selected[static_cast<std::size_t>(best)] = true;
+    source.column(best, column);
+    selected[static_cast<std::size_t>(best)] = true;
+    if (!qr.append_column(column)) {
       --step;
       continue;
     }
-    selected[static_cast<std::size_t>(best)] = true;
     result.support.push_back(best);
 
     // Re-fit every response on the shared support; update residuals.
@@ -81,9 +86,8 @@ SompResult SompSolver::fit(const Matrix& g, const Matrix& responses,
     if (obs::telemetry_enabled()) {
       // Joint residual norm across the (normalized) responses.
       Real joint = 0;
-      for (Index r = 0; r < num_responses; ++r) {
-        const Real norm = nrm2(residuals[static_cast<std::size_t>(r)]) /
-                          response_scale[static_cast<std::size_t>(r)];
+      for (std::size_t r = 0; r < responses_count; ++r) {
+        const Real norm = nrm2(residuals[r]) / response_scale[r];
         joint += norm * norm;
       }
       obs::emit(obs::SolverIterationEvent{
@@ -96,8 +100,8 @@ SompResult SompSolver::fit(const Matrix& g, const Matrix& responses,
     }
   }
 
-  result.coefficients.resize(static_cast<std::size_t>(num_responses));
-  result.residual_norms.resize(static_cast<std::size_t>(num_responses));
+  result.coefficients.resize(responses_count);
+  result.residual_norms.resize(responses_count);
   for (Index r = 0; r < num_responses; ++r) {
     result.coefficients[static_cast<std::size_t>(r)] =
         qr.solve(responses.col(r));

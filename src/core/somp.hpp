@@ -9,11 +9,15 @@
 //   * amortizes the selection scans across responses, and
 //   * yields one common support — smaller total model storage and a clean
 //     answer to "which variations matter for this circuit at all?".
+//
+// Like the path solvers, S-OMP reads G only through a ColumnSource (one
+// correlation scan per response and step, then the winning column), so it
+// copies no column of G and runs on a row view or a streamed dictionary.
 #pragma once
 
-#include <span>
 #include <vector>
 
+#include "core/column_source.hpp"
 #include "linalg/matrix.hpp"
 #include "util/common.hpp"
 
@@ -37,17 +41,17 @@ class SompSolver {
     /// correlation. Stop early when the best score falls below this times
     /// the first step's best score (0 = never stop early).
     Real score_tolerance = 0;
-
-    Real dependence_tolerance = 1e-10;
   };
 
   SompSolver() = default;
   explicit SompSolver(const Options& options) : options_(options) {}
 
   /// Fits all columns of `responses` (K x R) against the shared design
-  /// matrix `g` (K x M) with a common support of up to `max_terms` columns.
-  [[nodiscard]] SompResult fit(const Matrix& g, const Matrix& responses,
-                               Index max_terms) const;
+  /// matrix G (K x M, read through `source`) with a common support of up to
+  /// `max_terms` columns. Columns are screened for dependence at
+  /// IncrementalQr::kDependenceTolerance.
+  [[nodiscard]] SompResult fit(const ColumnSource& source,
+                               const Matrix& responses, Index max_terms) const;
 
  private:
   Options options_;

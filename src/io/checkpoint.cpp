@@ -169,24 +169,18 @@ CheckpointData load_checkpoint(const std::string& path, LoadMode mode) {
   while (!rest.empty()) {
     // A record shorter than its framing, or than its declared payload, is a
     // torn tail: recoverable in kRecoverTail/kSalvage mode and only because
-    // nothing can follow it.
+    // nothing can follow it. A torn append leaves a prefix of a valid
+    // record, so a length field above kMaxPayload is corruption wherever
+    // it sits, never truncation.
     bool torn = rest.size() < kRecordOverhead;
-    bool corrupt_length = false;
     std::size_t payload_len = 0;
     if (!torn) {
       WireReader framing(rest.substr(1, 4), context.c_str());
       payload_len = framing.u32();
-      torn = payload_len > kMaxPayload ||
+      torn = payload_len <= kMaxPayload &&
              rest.size() < kRecordOverhead + payload_len;
-      // An oversized length field on a *complete* remainder is corruption,
-      // not truncation; but we cannot distinguish the two without trusting
-      // the corrupt length, so treat > kMaxPayload as torn only at EOF
-      // proximity — i.e. when the remainder could not hold a legal record
-      // anyway — and corruption otherwise.
-      corrupt_length = payload_len > kMaxPayload &&
-                       rest.size() >= kRecordOverhead + kMaxPayload;
     }
-    if (torn && !corrupt_length) {
+    if (torn) {
       if (mode == LoadMode::kStrict) {
         reject(path, "truncated trailing record (torn write?)");
       }
@@ -201,7 +195,9 @@ CheckpointData load_checkpoint(const std::string& path, LoadMode mode) {
     // fatal in kStrict/kRecoverTail, prefix-salvaged in kSalvage (the
     // dropped rows are simply re-evaluated; corrupt data is never trusted).
     try {
-      if (corrupt_length) reject(path, "record payload length field corrupt");
+      if (payload_len > kMaxPayload) {
+        reject(path, "record payload length field corrupt");
+      }
       const std::size_t record_size = kRecordOverhead + payload_len;
       data.records.push_back(
           decode_record(rest.substr(0, record_size), path, context.c_str()));

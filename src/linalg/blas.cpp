@@ -95,6 +95,39 @@ void gemv_transposed(const Matrix& a, std::span<const Real> x,
   });
 }
 
+void solve_upper_triangular(const Matrix& r, std::span<Real> x) {
+  const auto n = static_cast<Index>(x.size());
+  RSM_DCHECK(n <= r.rows() && n <= r.cols());
+  Real* v = x.data();
+  for (Index i = n - 1; i >= 0; --i) {
+    Real s = v[i];
+    for (Index j = i + 1; j < n; ++j) s -= r(i, j) * v[j];
+    v[i] = s / r(i, i);
+  }
+}
+
+void solve_lower_triangular(const Matrix& l, std::span<Real> x) {
+  const auto n = static_cast<Index>(x.size());
+  RSM_DCHECK(n <= l.rows() && n <= l.cols());
+  Real* v = x.data();
+  for (Index i = 0; i < n; ++i) {
+    Real s = v[i];
+    for (Index k = 0; k < i; ++k) s -= l(i, k) * v[k];
+    v[i] = s / l(i, i);
+  }
+}
+
+void solve_lower_transposed(const Matrix& l, std::span<Real> x) {
+  const auto n = static_cast<Index>(x.size());
+  RSM_DCHECK(n <= l.rows() && n <= l.cols());
+  Real* v = x.data();
+  for (Index i = n - 1; i >= 0; --i) {
+    Real s = v[i];
+    for (Index k = i + 1; k < n; ++k) s -= l(k, i) * v[k];
+    v[i] = s / l(i, i);
+  }
+}
+
 void gemm(const Matrix& a, const Matrix& b, Matrix& c) {
   RSM_CHECK(a.cols() == b.rows());
   RSM_CHECK(c.rows() == a.rows() && c.cols() == b.cols());

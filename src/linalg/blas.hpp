@@ -42,6 +42,14 @@ void gemv_transposed(const Matrix& a, std::span<const Real> x,
                      std::span<Real> y, std::span<const Index> rows,
                      ThreadPool* pool);
 
+/// The library's only substitution loops, in place (x holds y on entry and
+/// the solution on exit) against the leading x.size() square block of the
+/// factor: R x = y for both QRs and IncrementalQr, and L x = y and L' x = y
+/// for CholeskyFactorization.
+void solve_upper_triangular(const Matrix& r, std::span<Real> x);
+void solve_lower_triangular(const Matrix& l, std::span<Real> x);
+void solve_lower_transposed(const Matrix& l, std::span<Real> x);
+
 /// C = A * B (C must be preallocated to a.rows() x b.cols()). Blocked i-k-j
 /// loop order for row-major locality.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);

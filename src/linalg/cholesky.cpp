@@ -1,63 +1,73 @@
 #include "linalg/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
+#include "linalg/blas.hpp"
 #include "util/errors.hpp"
 
 namespace rsm {
 
 CholeskyFactorization::CholeskyFactorization(const Matrix& a)
-    : l_(a.rows(), a.cols()) {
+    : CholeskyFactorization(a.rows()) {
   RSM_CHECK_MSG(a.rows() == a.cols(), "Cholesky needs a square matrix");
-  const Index n = a.rows();
-  for (Index j = 0; j < n; ++j) {
-    Real d = a(j, j);
-    for (Index k = 0; k < j; ++k) d -= l_(j, k) * l_(j, k);
-    if (!(d > Real{0})) {
+  for (Index j = 0; j < a.rows(); ++j) {
+    if (!append(a.row(j).first(static_cast<std::size_t>(j)), a(j, j),
+                Real{0})) {
       throw SingularMatrixError("matrix not positive definite at pivot " +
-                                std::to_string(j) +
-                                " (d=" + std::to_string(d) + ")");
-    }
-    const Real ljj = std::sqrt(d);
-    l_(j, j) = ljj;
-    for (Index i = j + 1; i < n; ++i) {
-      Real s = a(i, j);
-      for (Index k = 0; k < j; ++k) s -= l_(i, k) * l_(j, k);
-      l_(i, j) = s / ljj;
+                                std::to_string(j));
     }
   }
 }
 
+CholeskyFactorization::CholeskyFactorization(Index capacity)
+    : l_(capacity, capacity) {}
+
+bool CholeskyFactorization::append(std::span<const Real> cross, Real diagonal,
+                                   Real tolerance) {
+  RSM_CHECK(static_cast<Index>(cross.size()) == size_);
+  RSM_CHECK_MSG(size_ < l_.rows(), "Cholesky capacity exhausted");
+  // The new row l solves L l = cross; its pivot is what l leaves of the
+  // diagonal. Row size_ holds work in progress until the pivot passes.
+  const std::span<Real> row = l_.row(size_);
+  std::copy(cross.begin(), cross.end(), row.begin());
+  solve_lower_triangular(l_, row.first(cross.size()));
+  Real d = diagonal;
+  for (std::size_t k = 0; k < cross.size(); ++k) d -= row[k] * row[k];
+  if (!(d > tolerance * diagonal)) return false;
+  row[cross.size()] = std::sqrt(d);
+  ++size_;
+  return true;
+}
+
 std::vector<Real> CholeskyFactorization::solve_lower(
     std::span<const Real> b) const {
-  const Index n = size();
-  RSM_CHECK(static_cast<Index>(b.size()) == n);
+  RSM_CHECK(static_cast<Index>(b.size()) == size_);
   std::vector<Real> y(b.begin(), b.end());
-  for (Index i = 0; i < n; ++i) {
-    Real s = y[static_cast<std::size_t>(i)];
-    for (Index k = 0; k < i; ++k) s -= l_(i, k) * y[static_cast<std::size_t>(k)];
-    y[static_cast<std::size_t>(i)] = s / l_(i, i);
-  }
+  solve_lower_triangular(l_, y);
   return y;
 }
 
 std::vector<Real> CholeskyFactorization::solve_upper(
     std::span<const Real> y) const {
-  const Index n = size();
-  RSM_CHECK(static_cast<Index>(y.size()) == n);
+  RSM_CHECK(static_cast<Index>(y.size()) == size_);
   std::vector<Real> x(y.begin(), y.end());
-  for (Index i = n - 1; i >= 0; --i) {
-    Real s = x[static_cast<std::size_t>(i)];
-    for (Index k = i + 1; k < n; ++k)
-      s -= l_(k, i) * x[static_cast<std::size_t>(k)];
-    x[static_cast<std::size_t>(i)] = s / l_(i, i);
-  }
+  solve_lower_transposed(l_, x);
   return x;
 }
 
 std::vector<Real> CholeskyFactorization::solve(std::span<const Real> b) const {
-  return solve_upper(solve_lower(b));
+  std::vector<Real> x = solve_lower(b);
+  solve_lower_transposed(l_, x);
+  return x;
+}
+
+Matrix CholeskyFactorization::l() const {
+  Matrix l(size_, size_);
+  for (Index i = 0; i < size_; ++i)
+    std::copy_n(l_.row(i).begin(), i + 1, l.row(i).begin());
+  return l;
 }
 
 Real CholeskyFactorization::log_determinant() const {

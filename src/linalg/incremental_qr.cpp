@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/blas.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace rsm {
@@ -110,12 +111,7 @@ std::vector<Real> IncrementalQr::project(std::span<const Real> b) const {
 
 std::vector<Real> IncrementalQr::solve(std::span<const Real> b) const {
   std::vector<Real> x = project(b);
-  for (Index i = num_cols_ - 1; i >= 0; --i) {
-    Real s = x[static_cast<std::size_t>(i)];
-    for (Index j = i + 1; j < num_cols_; ++j)
-      s -= r_(i, j) * x[static_cast<std::size_t>(j)];
-    x[static_cast<std::size_t>(i)] = s / r_(i, i);
-  }
+  solve_upper_triangular(r_, x);
   return x;
 }
 

@@ -27,11 +27,15 @@ class IncrementalQr {
   [[nodiscard]] Index rows() const { return rows_; }
   [[nodiscard]] Index size() const { return num_cols_; }  // columns so far
 
+  /// append_column's default dependence threshold; OMP and SOMP use it.
+  static constexpr Real kDependenceTolerance = 1e-10;
+
   /// Appends a column. Returns false (and leaves the factorization
   /// unchanged) if the column is numerically dependent on the current span,
   /// i.e. its orthogonal remainder has norm <= tol * ||column||.
-  [[nodiscard]] bool append_column(std::span<const Real> column,
-                                   Real dependence_tol = 1e-10);
+  [[nodiscard]] bool append_column(
+      std::span<const Real> column,
+      Real dependence_tol = kDependenceTolerance);
 
   /// Removes column j (0-based, in append order): deletes R's column and
   /// restores triangularity with Givens rotations, folding them into Q.

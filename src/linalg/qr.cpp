@@ -3,90 +3,93 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/blas.hpp"
 #include "util/errors.hpp"
 
 namespace rsm {
+namespace {
+
+/// 2-norm of rows k.. of column j.
+Real trailing_norm(const Matrix& a, Index k, Index j) {
+  Real s = 0;
+  for (Index i = k; i < a.rows(); ++i) s += a(i, j) * a(i, j);
+  return std::sqrt(s);
+}
+
+/// Householder step k of both factorizations: reflects rows k.. of column
+/// k, whose 2-norm `norm` is not zero, onto alpha e_k; stores the
+/// reflector's vector v below the diagonal, normalized so v[0] = 1 (kept
+/// implicit); applies I - tau v v' to the trailing columns; returns tau.
+Real householder_step(Matrix& qr, Index k, Real norm) {
+  const Index m = qr.rows(), n = qr.cols();
+  const Real alpha = qr(k, k) >= 0 ? -norm : norm;
+  const Real v0 = qr(k, k) - alpha;
+  for (Index i = k + 1; i < m; ++i) qr(i, k) /= v0;
+  const Real tau = -v0 / alpha;
+  qr(k, k) = alpha;
+  for (Index j = k + 1; j < n; ++j) {
+    Real s = qr(k, j);
+    for (Index i = k + 1; i < m; ++i) s += qr(i, k) * qr(i, j);
+    s *= tau;
+    qr(k, j) -= s;
+    for (Index i = k + 1; i < m; ++i) qr(i, j) -= s * qr(i, k);
+  }
+  return tau;
+}
+
+/// b = (I - tau v v') b for the reflector stored in column k of `qr`.
+void apply_reflector(const Matrix& qr, Index k, Real tau, std::span<Real> b) {
+  if (tau == Real{0}) return;
+  Real* v = b.data();
+  Real s = v[k];
+  for (Index i = k + 1; i < qr.rows(); ++i) s += qr(i, k) * v[i];
+  s *= tau;
+  v[k] -= s;
+  for (Index i = k + 1; i < qr.rows(); ++i) v[i] -= s * qr(i, k);
+}
+
+/// b = Q' b, Q the product of the reflectors with factors `tau`.
+void reflect_qt(const Matrix& qr, std::span<const Real> tau,
+                std::span<Real> b) {
+  for (std::size_t k = 0; k < tau.size(); ++k)
+    apply_reflector(qr, static_cast<Index>(k), tau[k], b);
+}
+
+}  // namespace
 
 QrFactorization::QrFactorization(const Matrix& a) : qr_(a) {
   const Index m = qr_.rows(), n = qr_.cols();
   RSM_CHECK_MSG(m >= n, "QR requires rows >= cols, got " << m << "x" << n);
   tau_.assign(static_cast<std::size_t>(n), Real{0});
-
   for (Index k = 0; k < n; ++k) {
-    // Householder vector from column k, rows k..m-1.
-    Real norm_x = 0;
-    for (Index i = k; i < m; ++i) norm_x += qr_(i, k) * qr_(i, k);
-    norm_x = std::sqrt(norm_x);
-    if (norm_x == Real{0}) {
-      tau_[static_cast<std::size_t>(k)] = 0;  // zero column; R(k,k)=0
-      continue;
-    }
-    const Real alpha = qr_(k, k) >= 0 ? -norm_x : norm_x;
-    // v = x - alpha*e1, normalized so v[0] = 1 (stored implicitly).
-    const Real v0 = qr_(k, k) - alpha;
-    for (Index i = k + 1; i < m; ++i) qr_(i, k) /= v0;
-    tau_[static_cast<std::size_t>(k)] = -v0 / alpha;  // = 2/(v'v) * v0^2 scaled
-    qr_(k, k) = alpha;
-
-    // Apply H = I - tau v v' to the trailing columns.
-    const Real tau = tau_[static_cast<std::size_t>(k)];
-    for (Index j = k + 1; j < n; ++j) {
-      Real s = qr_(k, j);
-      for (Index i = k + 1; i < m; ++i) s += qr_(i, k) * qr_(i, j);
-      s *= tau;
-      qr_(k, j) -= s;
-      for (Index i = k + 1; i < m; ++i) qr_(i, j) -= s * qr_(i, k);
-    }
+    const Real norm = trailing_norm(qr_, k, k);
+    if (norm == Real{0}) continue;  // zero column: tau = 0, R(k,k) = 0
+    tau_[static_cast<std::size_t>(k)] = householder_step(qr_, k, norm);
   }
 }
 
 void QrFactorization::apply_qt(std::span<Real> b) const {
-  const Index m = qr_.rows(), n = qr_.cols();
-  RSM_CHECK(static_cast<Index>(b.size()) == m);
-  for (Index k = 0; k < n; ++k) {
-    const Real tau = tau_[static_cast<std::size_t>(k)];
-    if (tau == Real{0}) continue;
-    Real s = b[static_cast<std::size_t>(k)];
-    for (Index i = k + 1; i < m; ++i)
-      s += qr_(i, k) * b[static_cast<std::size_t>(i)];
-    s *= tau;
-    b[static_cast<std::size_t>(k)] -= s;
-    for (Index i = k + 1; i < m; ++i)
-      b[static_cast<std::size_t>(i)] -= s * qr_(i, k);
-  }
+  RSM_CHECK(static_cast<Index>(b.size()) == qr_.rows());
+  reflect_qt(qr_, tau_, b);
 }
 
 void QrFactorization::apply_q(std::span<Real> b) const {
-  const Index m = qr_.rows(), n = qr_.cols();
-  RSM_CHECK(static_cast<Index>(b.size()) == m);
-  for (Index k = n - 1; k >= 0; --k) {
-    const Real tau = tau_[static_cast<std::size_t>(k)];
-    if (tau == Real{0}) continue;
-    Real s = b[static_cast<std::size_t>(k)];
-    for (Index i = k + 1; i < m; ++i)
-      s += qr_(i, k) * b[static_cast<std::size_t>(i)];
-    s *= tau;
-    b[static_cast<std::size_t>(k)] -= s;
-    for (Index i = k + 1; i < m; ++i)
-      b[static_cast<std::size_t>(i)] -= s * qr_(i, k);
-  }
+  RSM_CHECK(static_cast<Index>(b.size()) == qr_.rows());
+  for (Index k = qr_.cols() - 1; k >= 0; --k)
+    apply_reflector(qr_, k, tau_[static_cast<std::size_t>(k)], b);
 }
 
 std::vector<Real> QrFactorization::solve_r(std::span<const Real> y) const {
   const Index n = qr_.cols();
   RSM_CHECK(static_cast<Index>(y.size()) >= n);
-  std::vector<Real> x(y.begin(), y.begin() + n);
   for (Index i = n - 1; i >= 0; --i) {
-    Real s = x[static_cast<std::size_t>(i)];
-    for (Index j = i + 1; j < n; ++j)
-      s -= qr_(i, j) * x[static_cast<std::size_t>(j)];
-    const Real rii = qr_(i, i);
-    if (rii == Real{0}) {
+    if (qr_(i, i) == Real{0}) {
       throw SingularMatrixError("singular R in QR solve at diagonal " +
                                 std::to_string(i));
     }
-    x[static_cast<std::size_t>(i)] = s / rii;
   }
+  std::vector<Real> x(y.begin(), y.begin() + n);
+  solve_upper_triangular(qr_, x);
   return x;
 }
 
@@ -143,7 +146,7 @@ std::vector<Real> least_squares_solve(const Matrix& a,
   return QrFactorization(a).solve(b);
 }
 
-PivotedQr::PivotedQr(const Matrix& a, Real rank_tolerance) : qr_(a) {
+PivotedQr::PivotedQr(const Matrix& a) : qr_(a) {
   const Index m = qr_.rows(), n = qr_.cols();
   const Index kmax = std::min(m, n);
   tau_.assign(static_cast<std::size_t>(kmax), Real{0});
@@ -152,12 +155,9 @@ PivotedQr::PivotedQr(const Matrix& a, Real rank_tolerance) : qr_(a) {
 
   // Largest initial column norm anchors the absolute rank cutoff.
   Real norm_max = 0;
-  for (Index j = 0; j < n; ++j) {
-    Real s = 0;
-    for (Index i = 0; i < m; ++i) s += qr_(i, j) * qr_(i, j);
-    norm_max = std::max(norm_max, std::sqrt(s));
-  }
-  const Real cutoff = rank_tolerance * norm_max;
+  for (Index j = 0; j < n; ++j)
+    norm_max = std::max(norm_max, trailing_norm(qr_, 0, j));
+  const Real cutoff = kRankTolerance * norm_max;
 
   for (Index k = 0; k < kmax; ++k) {
     // Pivot: bring the trailing column with the largest remaining norm to
@@ -166,9 +166,7 @@ PivotedQr::PivotedQr(const Matrix& a, Real rank_tolerance) : qr_(a) {
     Index pivot = k;
     Real pivot_norm = 0;
     for (Index j = k; j < n; ++j) {
-      Real s = 0;
-      for (Index i = k; i < m; ++i) s += qr_(i, j) * qr_(i, j);
-      s = std::sqrt(s);
+      const Real s = trailing_norm(qr_, k, j);
       if (s > pivot_norm) {
         pivot_norm = s;
         pivot = j;
@@ -180,66 +178,30 @@ PivotedQr::PivotedQr(const Matrix& a, Real rank_tolerance) : qr_(a) {
       std::swap(perm_[static_cast<std::size_t>(k)],
                 perm_[static_cast<std::size_t>(pivot)]);
     }
-
-    // Householder vector from column k, rows k..m-1 (same scheme as the
-    // unpivoted factorization above).
-    const Real alpha = qr_(k, k) >= 0 ? -pivot_norm : pivot_norm;
-    const Real v0 = qr_(k, k) - alpha;
-    for (Index i = k + 1; i < m; ++i) qr_(i, k) /= v0;
-    tau_[static_cast<std::size_t>(k)] = -v0 / alpha;
-    qr_(k, k) = alpha;
-
-    const Real tau = tau_[static_cast<std::size_t>(k)];
-    for (Index j = k + 1; j < n; ++j) {
-      Real s = qr_(k, j);
-      for (Index i = k + 1; i < m; ++i) s += qr_(i, k) * qr_(i, j);
-      s *= tau;
-      qr_(k, j) -= s;
-      for (Index i = k + 1; i < m; ++i) qr_(i, j) -= s * qr_(i, k);
-    }
+    tau_[static_cast<std::size_t>(k)] = householder_step(qr_, k, pivot_norm);
     rank_ = k + 1;
   }
 }
 
 std::vector<Real> PivotedQr::solve(std::span<const Real> b) const {
-  const Index m = qr_.rows(), n = qr_.cols();
-  RSM_CHECK(static_cast<Index>(b.size()) == m);
-
-  // y = Q' b over the first rank_ reflectors.
+  RSM_CHECK(static_cast<Index>(b.size()) == qr_.rows());
+  // y = Q' b over the first rank_ reflectors, then back-substitute the
+  // leading rank_ x rank_ triangle in place.
   std::vector<Real> y(b.begin(), b.end());
-  for (Index k = 0; k < rank_; ++k) {
-    const Real tau = tau_[static_cast<std::size_t>(k)];
-    if (tau == Real{0}) continue;
-    Real s = y[static_cast<std::size_t>(k)];
-    for (Index i = k + 1; i < m; ++i)
-      s += qr_(i, k) * y[static_cast<std::size_t>(i)];
-    s *= tau;
-    y[static_cast<std::size_t>(k)] -= s;
-    for (Index i = k + 1; i < m; ++i)
-      y[static_cast<std::size_t>(i)] -= s * qr_(i, k);
-  }
-
-  // Back-substitute the leading rank_ x rank_ triangle.
-  std::vector<Real> z(static_cast<std::size_t>(rank_));
-  for (Index i = rank_ - 1; i >= 0; --i) {
-    Real s = y[static_cast<std::size_t>(i)];
-    for (Index j = i + 1; j < rank_; ++j)
-      s -= qr_(i, j) * z[static_cast<std::size_t>(j)];
-    z[static_cast<std::size_t>(i)] = s / qr_(i, i);
-  }
+  const auto rank = static_cast<std::size_t>(rank_);
+  reflect_qt(qr_, std::span<const Real>(tau_).first(rank), y);
+  solve_upper_triangular(qr_, std::span<Real>(y).first(rank));
 
   // Scatter through the permutation; dependent columns get exact zeros.
-  std::vector<Real> x(static_cast<std::size_t>(n), Real{0});
-  for (Index k = 0; k < rank_; ++k)
-    x[static_cast<std::size_t>(perm_[static_cast<std::size_t>(k)])] =
-        z[static_cast<std::size_t>(k)];
+  std::vector<Real> x(static_cast<std::size_t>(qr_.cols()), Real{0});
+  for (std::size_t k = 0; k < rank; ++k)
+    x[static_cast<std::size_t>(perm_[k])] = y[k];
   return x;
 }
 
 std::vector<Real> least_squares_solve_pivoted(const Matrix& a,
-                                              std::span<const Real> b,
-                                              Real rank_tolerance) {
-  return PivotedQr(a, rank_tolerance).solve(b);
+                                              std::span<const Real> b) {
+  return PivotedQr(a).solve(b);
 }
 
 }  // namespace rsm

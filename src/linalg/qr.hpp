@@ -69,10 +69,12 @@ class QrFactorization {
 /// instead of a SingularMatrixError.
 class PivotedQr {
  public:
-  /// Factorizes `a` (any shape). Columns whose trailing norm falls below
-  /// `rank_tolerance` times the largest initial column norm are treated as
-  /// dependent and never pivoted into the basis.
-  explicit PivotedQr(const Matrix& a, Real rank_tolerance = 1e-12);
+  /// Columns whose trailing norm falls below kRankTolerance times the
+  /// largest initial column norm are dependent: never pivoted into the basis.
+  static constexpr Real kRankTolerance = 1e-12;
+
+  /// Factorizes `a` (any shape).
+  explicit PivotedQr(const Matrix& a);
 
   [[nodiscard]] Index rows() const { return qr_.rows(); }
   [[nodiscard]] Index cols() const { return qr_.cols(); }
@@ -97,6 +99,6 @@ class PivotedQr {
 
 /// One-shot rank-tolerant least squares via PivotedQr; works at any rank.
 [[nodiscard]] std::vector<Real> least_squares_solve_pivoted(
-    const Matrix& a, std::span<const Real> b, Real rank_tolerance = 1e-12);
+    const Matrix& a, std::span<const Real> b);
 
 }  // namespace rsm

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -300,6 +301,63 @@ TEST(CrossValidation, AllFoldsDegenerateThrows) {
   const SparseProblem prob = make_problem(80, 120, 4, 0.1, 512);
   const FlakySolver solver(4);  // every fold throws
   EXPECT_THROW((void)CrossValidator().run(solver, prob.g, prob.f, 20), Error);
+}
+
+/// Delegates to OMP but returns NaN coefficients on its first calls — a
+/// stand-in for a fit that breaks down numerically without throwing.
+class NanSolver : public PathSolver {
+ public:
+  explicit NanSolver(int poison_first_n) : poison_first_n_(poison_first_n) {}
+
+  [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
+                                    std::span<const Real> f,
+                                    Index max_steps) const override {
+    SolverPath path = inner_.fit_path(g, f, max_steps);
+    if (calls_++ < poison_first_n_)
+      for (auto& step : path.coefficients)
+        std::fill(step.begin(), step.end(), std::nan(""));
+    return path;
+  }
+
+  [[nodiscard]] const char* name() const override { return "nan"; }
+
+ private:
+  OmpSolver inner_;
+  int poison_first_n_;
+  mutable int calls_ = 0;
+};
+
+TEST(CrossValidation, NonFiniteFoldCurveIsSkipped) {
+  const SparseProblem prob = make_problem(80, 120, 4, 0.1, 513);
+  const CrossValidationResult cv =
+      CrossValidator().run(NanSolver(1), prob.g, prob.f, 20);
+  EXPECT_EQ(cv.skipped_folds, 1);
+  ASSERT_EQ(cv.fold_curves.size(), 4u);
+  EXPECT_TRUE(cv.fold_curves[0].empty());
+  for (Real e : cv.error_curve) EXPECT_TRUE(std::isfinite(e));
+  EXPECT_TRUE(std::isfinite(cv.best_error));
+  // The averaged curve, and so lambda, comes from the three clean folds.
+  const CrossValidationResult clean =
+      CrossValidator().run(OmpSolver(), prob.g, prob.f, 20);
+  ASSERT_FALSE(cv.error_curve.empty());
+  for (std::size_t t = 0; t < cv.error_curve.size(); ++t) {
+    const Real mean = (clean.fold_curves[1][t] + clean.fold_curves[2][t] +
+                       clean.fold_curves[3][t]) /
+                      3;
+    EXPECT_DOUBLE_EQ(cv.error_curve[t], mean) << "lambda " << t + 1;
+  }
+}
+
+TEST(CrossValidation, EveryFoldNonFiniteThrows) {
+  const SparseProblem prob = make_problem(80, 120, 4, 0.1, 514);
+  try {
+    (void)CrossValidator().run(NanSolver(4), prob.g, prob.f, 20);
+    FAIL() << "a run whose every fold is NaN must not choose lambda";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("every cross-validation fold"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 class CvFoldSweep : public ::testing::TestWithParam<int> {};

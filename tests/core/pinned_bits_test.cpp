@@ -1,0 +1,200 @@
+// Pinned bits of the dense solvers. Each output below is hashed over its raw
+// bytes and compared with the hash an earlier build printed for the same
+// inputs: LAR (pure and LASSO, with drops), OMP, S-OMP, both least-squares
+// solvers, cholesky_solve and IncrementalQr::solve after a downdate. A
+// refactor of the linear algebra underneath them must leave every bit where
+// it was; a change that moves one has to say so and re-pin.
+#include <cstdint>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/column_source.hpp"
+#include "core/lar.hpp"
+#include "core/omp.hpp"
+#include "core/somp.hpp"
+#include "io/crc32.hpp"
+#include "linalg/blas.hpp"
+#include "linalg/cholesky.hpp"
+#include "linalg/incremental_qr.hpp"
+#include "linalg/qr.hpp"
+#include "stats/rng.hpp"
+
+namespace rsm {
+namespace {
+
+/// FNV-1a 64 over the raw bytes of every value an output holds, sizes
+/// included, so any changed bit or length changes the hash.
+class BitHash {
+ public:
+  template <class T>
+  BitHash& add(const std::vector<T>& values) {
+    const std::uint64_t count = values.size();
+    hash_ = io::fnv1a64(&count, sizeof(count), hash_);
+    hash_ = io::fnv1a64(values.data(), values.size() * sizeof(T), hash_);
+    return *this;
+  }
+  template <class T>
+  BitHash& add(const std::vector<std::vector<T>>& rows) {
+    for (const std::vector<T>& row : rows) add(row);
+    return *this;
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = io::kFnvOffsetBasis;
+};
+
+std::uint64_t hash_path(const SolverPath& path) {
+  return BitHash()
+      .add(path.selection_order)
+      .add(path.coefficients)
+      .add(path.active_sets)
+      .add(path.residual_norms)
+      .value();
+}
+
+/// rows x cols entries drawn from Rng::uniform(-1, 1). Only uniform draws
+/// and IEEE-exact arithmetic feed these inputs, so no libm version can move
+/// their bits.
+Matrix uniform_matrix(Index rows, Index cols, Rng& rng) {
+  Matrix a(rows, cols);
+  for (Index i = 0; i < rows; ++i)
+    for (Index j = 0; j < cols; ++j) a(i, j) = rng.uniform(-1, 1);
+  return a;
+}
+
+std::vector<Real> uniform_vector(Index n, Rng& rng) {
+  std::vector<Real> v(static_cast<std::size_t>(n));
+  for (Real& x : v) x = rng.uniform(-1, 1);
+  return v;
+}
+
+/// K x M design whose columns share a row component, G(i, j) = u_ij +
+/// 0.8 z_i, so they are correlated and LASSO drops variables along the path.
+Matrix correlated_design(Index k, Index m, Rng& rng) {
+  Matrix g = uniform_matrix(k, m, rng);
+  for (Index i = 0; i < k; ++i) {
+    const Real z = 0.8 * rng.uniform(-1, 1);
+    for (Index j = 0; j < m; ++j) g(i, j) += z;
+  }
+  return g;
+}
+
+/// A sparse response: `terms` columns of g with mixed-sign weights, plus
+/// uniform noise.
+std::vector<Real> sparse_response(const Matrix& g, Index terms, Rng& rng) {
+  std::vector<Real> f = uniform_vector(g.rows(), rng);
+  for (Real& v : f) v *= 0.05;
+  for (Index t = 0; t < terms; ++t) {
+    const Index j = rng.uniform_index(g.cols());
+    const Real weight = (t % 2 == 0 ? 1 : -1) * (1 + rng.uniform());
+    for (Index i = 0; i < g.rows(); ++i)
+      f[static_cast<std::size_t>(i)] += weight * g(i, j);
+  }
+  return f;
+}
+
+/// Number of path steps whose support is smaller than the step before.
+int count_drops(const SolverPath& path) {
+  int drops = 0;
+  for (std::size_t t = 1; t < path.active_sets.size(); ++t)
+    if (path.active_sets[t].size() < path.active_sets[t - 1].size()) ++drops;
+  return drops;
+}
+
+struct SolverCase {
+  Matrix g;
+  std::vector<Real> f;
+};
+
+SolverCase solver_case(Index k, Index m, std::uint64_t seed) {
+  Rng rng(seed);
+  SolverCase c;
+  c.g = correlated_design(k, m, rng);
+  c.f = sparse_response(c.g, 12, rng);
+  return c;
+}
+
+Matrix somp_responses(const Matrix& g, Rng& rng) {
+  Matrix responses(g.rows(), 3);
+  for (Index r = 0; r < 3; ++r)
+    responses.set_col(r, sparse_response(g, 6, rng));
+  return responses;
+}
+
+/// rows x cols with rank cols - 2: column 7 is column 2 plus column 5, and
+/// column 9 is twice column 1.
+Matrix rank_deficient(Index rows, Index cols, Rng& rng) {
+  Matrix a = uniform_matrix(rows, cols, rng);
+  for (Index i = 0; i < rows; ++i) {
+    a(i, 7) = a(i, 2) + a(i, 5);
+    a(i, 9) = 2 * a(i, 1);
+  }
+  return a;
+}
+
+TEST(PinnedBits, LarPureAndLassoPaths) {
+  const SolverCase c = solver_case(120, 600, 1901);
+  const MaterializedSource source(c.g);
+  LarSolver::Options lasso;
+  lasso.lasso = true;
+  const SolverPath pure = LarSolver().fit_path(source, c.f, 100);
+  const SolverPath dropping = LarSolver(lasso).fit_path(source, c.f, 100);
+  ASSERT_EQ(pure.num_steps(), 100);
+  ASSERT_EQ(dropping.num_steps(), 132);
+  EXPECT_GE(count_drops(dropping), 1);  // the rebuild after a drop is pinned
+  EXPECT_EQ(hash_path(pure), 0x4e83e7f733cc9c8dull);
+  EXPECT_EQ(hash_path(dropping), 0x1a4f9586d2de32bdull);
+}
+
+TEST(PinnedBits, OmpPath) {
+  const SolverCase c = solver_case(120, 600, 1901);
+  const SolverPath omp = OmpSolver().fit_path(MaterializedSource(c.g), c.f, 60);
+  EXPECT_EQ(hash_path(omp), 0x61fe0bf2a7715bcfull);
+}
+
+TEST(PinnedBits, SompThreeResponses) {
+  const SolverCase c = solver_case(120, 600, 1901);
+  Rng rng(1902);
+  const Matrix responses = somp_responses(c.g, rng);
+  const SompResult somp =
+      SompSolver().fit(MaterializedSource(c.g), responses, 30);
+  ASSERT_EQ(somp.support.size(), 30u);
+  EXPECT_EQ(BitHash()
+                .add(somp.support)
+                .add(somp.coefficients)
+                .add(somp.residual_norms)
+                .value(),
+            0xed8fbbf6023081fbull);
+}
+
+TEST(PinnedBits, LeastSquaresCholeskyAndIncrementalQr) {
+  Rng rng(1903);
+  const Matrix a = uniform_matrix(50, 12, rng);
+  const std::vector<Real> b = uniform_vector(50, rng);
+  EXPECT_EQ(BitHash().add(least_squares_solve(a, b)).value(),
+            0xdba2b408eed0e0e7ull);
+
+  const Matrix deficient = rank_deficient(40, 10, rng);
+  const std::vector<Real> b_deficient = uniform_vector(40, rng);
+  EXPECT_EQ(PivotedQr(deficient).rank(), 8);
+  const std::vector<Real> x_deficient =
+      least_squares_solve_pivoted(deficient, b_deficient);
+  EXPECT_EQ(BitHash().add(x_deficient).value(), 0xca5bb18435c53cbcull);
+
+  const Matrix spd = gram(uniform_matrix(30, 12, rng));
+  const std::vector<Real> b_spd = uniform_vector(12, rng);
+  EXPECT_EQ(BitHash().add(cholesky_solve(spd, b_spd)).value(),
+            0xd183bab0e4205f7full);
+
+  IncrementalQr qr(40, 8);
+  for (int j = 0; j < 8; ++j)
+    ASSERT_TRUE(qr.append_column(uniform_vector(40, rng)));
+  qr.remove_column(3);
+  const std::vector<Real> b_qr = uniform_vector(40, rng);
+  EXPECT_EQ(BitHash().add(qr.solve(b_qr)).value(), 0x78fe6574c54fbbb0ull);
+}
+
+}  // namespace
+}  // namespace rsm

@@ -43,7 +43,8 @@ JointProblem make_joint(Index k, Index m, Index p, Index num_responses,
 
 TEST(Somp, RecoversSharedSupport) {
   const JointProblem prob = make_joint(80, 200, 6, 4, 801);
-  const SompResult result = SompSolver().fit(prob.g, prob.responses, 6);
+  const SompResult result =
+      SompSolver().fit(MaterializedSource(prob.g), prob.responses, 6);
   const std::set<Index> found(result.support.begin(), result.support.end());
   for (Index s : prob.support) EXPECT_TRUE(found.count(s)) << "missing " << s;
   for (Real rn : result.residual_norms) EXPECT_LT(rn, 1e-8);
@@ -51,7 +52,8 @@ TEST(Somp, RecoversSharedSupport) {
 
 TEST(Somp, CoefficientsMatchPerResponseLsOnSupport) {
   const JointProblem prob = make_joint(60, 100, 4, 3, 802, 0.05);
-  const SompResult result = SompSolver().fit(prob.g, prob.responses, 4);
+  const SompResult result =
+      SompSolver().fit(MaterializedSource(prob.g), prob.responses, 4);
   ASSERT_EQ(result.support.size(), 4u);
   // Per response, coefficients must equal OMP restricted to the same
   // support — verify via the normal equations residual orthogonality.
@@ -80,7 +82,8 @@ TEST(Somp, JointSelectionBeatsWeakSingleResponse) {
     for (Real& v : y) v += 0.05 * rng.normal();
     responses.set_col(r, y);
   }
-  const SompResult result = SompSolver().fit(g, responses, 1);
+  const SompResult result =
+      SompSolver().fit(MaterializedSource(g), responses, 1);
   ASSERT_EQ(result.support.size(), 1u);
   EXPECT_EQ(result.support[0], shared_col);
 }
@@ -93,7 +96,7 @@ TEST(Somp, SingleResponseReducesToOmp) {
   responses.set_col(0, rng.normal_vector(k));
   const std::vector<Real> f = responses.col(0);
 
-  const SompResult somp = SompSolver().fit(g, responses, 8);
+  const SompResult somp = SompSolver().fit(MaterializedSource(g), responses, 8);
   const SolverPath omp = OmpSolver().fit_path(MaterializedSource(g), f, 8);
   ASSERT_EQ(somp.support.size(), omp.selection_order.size());
   for (std::size_t i = 0; i < somp.support.size(); ++i)
@@ -105,7 +108,8 @@ TEST(Somp, ScoreToleranceStopsEarly) {
   SompSolver::Options opt;
   opt.score_tolerance = 1e-6;  // once the true support is absorbed, scores
                                // collapse and the solver stops
-  const SompResult result = SompSolver(opt).fit(prob.g, prob.responses, 50);
+  const SompResult result =
+      SompSolver(opt).fit(MaterializedSource(prob.g), prob.responses, 50);
   EXPECT_LE(result.support.size(), 6u);
   EXPECT_GE(result.support.size(), 3u);
 }
@@ -114,7 +118,7 @@ TEST(Somp, ShapeValidation) {
   Rng rng(806);
   const Matrix g = monte_carlo_normal(20, 10, rng);
   Matrix bad(19, 2);  // row mismatch
-  EXPECT_THROW(SompSolver().fit(g, bad, 3), Error);
+  EXPECT_THROW(SompSolver().fit(MaterializedSource(g), bad, 3), Error);
 }
 
 }  // namespace

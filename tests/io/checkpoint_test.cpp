@@ -215,6 +215,28 @@ TEST(CheckpointFormatTest, CorruptLengthFieldRejected) {
   expect_reject(path, LoadMode::kRecoverTail, "length field corrupt");
 }
 
+TEST(CheckpointFormatTest, OversizedLengthNearEndOfLogIsCorruptNotTorn) {
+  // A torn append leaves a prefix of a valid record, whose length field is
+  // never above kMaxPayload; so an oversized length a few bytes before the
+  // end of the log, with a complete record after it, is still corruption.
+  const std::string path = test_path("bad_length_near_eof.ckpt");
+  const std::vector<CheckpointRecord> records = test_records();
+  std::string bytes = serialize_header(test_header());
+  bytes.append(serialize_record(records[0]));
+  const std::size_t top_length_byte = bytes.size() + 4;
+  bytes.append(serialize_record(records[1]));
+  bytes.append(serialize_record(records[2]));
+  bytes[top_length_byte] =
+      static_cast<char>(bytes[top_length_byte] ^ static_cast<char>(0x80));
+  atomic_write_file(path, bytes);
+  expect_reject(path, LoadMode::kRecoverTail, "length field corrupt");
+  const CheckpointData data = load_checkpoint(path, LoadMode::kSalvage);
+  EXPECT_TRUE(data.salvaged_corruption);
+  EXPECT_FALSE(data.truncated_tail);
+  ASSERT_EQ(data.records.size(), 1u);
+  EXPECT_EQ(data.records[0].sample, records[0].sample);
+}
+
 TEST(CheckpointFormatTest, QuarantineReasonBoundedOnWrite) {
   const std::string path = test_path("long_reason.ckpt");
   CheckpointRecord record;

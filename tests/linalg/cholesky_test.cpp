@@ -1,6 +1,8 @@
 #include "linalg/cholesky.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +75,46 @@ TEST(Cholesky, LogDeterminant) {
 TEST(Cholesky, IdentityFactorsToIdentity) {
   const Matrix l = CholeskyFactorization(Matrix::identity(4)).l();
   EXPECT_LT(max_abs_diff(l, Matrix::identity(4)), 1e-15);
+}
+
+TEST(Cholesky, AppendedFactorEqualsBatchFactorBitForBit) {
+  Rng rng(35);
+  const Matrix a = random_spd(9, rng);
+  const Matrix batch = CholeskyFactorization(a).l();
+  CholeskyFactorization grown(9);
+  EXPECT_EQ(grown.size(), 0);
+  for (Index j = 0; j < 9; ++j)
+    ASSERT_TRUE(grown.append(a.row(j).first(static_cast<std::size_t>(j)),
+                             a(j, j), 1e-12));
+  const Matrix l = grown.l();
+  ASSERT_EQ(l.rows(), 9);
+  for (Index i = 0; i < 9; ++i)
+    for (Index j = 0; j < 9; ++j)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(l(i, j)),
+                std::bit_cast<std::uint64_t>(batch(i, j)))
+          << i << "," << j;
+}
+
+TEST(Cholesky, RejectedAppendLeavesFactorUnchanged) {
+  // Unit columns x0, x1 with x0'x1 = 0.5; x0 + x1 lies in their span
+  // (cross products 1.5, 1.5, squared norm 3), so its pivot is ~0 and it
+  // must be refused, leaving the factor and its solves as they were.
+  CholeskyFactorization chol(3);
+  ASSERT_TRUE(chol.append({}, 1.0, 1e-12));
+  ASSERT_TRUE(chol.append(std::vector<Real>{0.5}, 1.0, 1e-12));
+  const Matrix before = chol.l();
+  const std::vector<Real> solved = chol.solve(std::vector<Real>{1, 2});
+  EXPECT_FALSE(chol.append(std::vector<Real>{1.5, 1.5}, 3.0, 1e-12));
+  EXPECT_EQ(chol.size(), 2);
+  EXPECT_EQ(max_abs_diff(chol.l(), before), 0.0);
+  EXPECT_EQ(chol.solve(std::vector<Real>{1, 2}), solved);
+  // A NaN pivot is refused too, at any tolerance.
+  EXPECT_FALSE(chol.append(std::vector<Real>{0.0, 0.0}, std::nan(""), 0.0));
+  EXPECT_EQ(chol.size(), 2);
+  chol.clear();
+  EXPECT_EQ(chol.size(), 0);
+  EXPECT_TRUE(chol.append({}, 4.0, 0.0));
+  EXPECT_EQ(chol.l()(0, 0), 2.0);
 }
 
 TEST(Cholesky, OneShotHelper) {

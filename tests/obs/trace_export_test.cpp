@@ -149,8 +149,9 @@ TEST(TraceExportTest, WriteChromeTraceProducesParseableFile) {
   const std::string content = buffer.str();
   EXPECT_NE(content.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(content.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
-  if (kTracingCompiled)
+  if (kTracingCompiled) {
     EXPECT_NE(content.find("export_test.inner"), std::string::npos);
+  }
   std::remove(path.c_str());
   reset_tracing();
   set_tracing_enabled(kTracingCompiled);
@@ -165,7 +166,9 @@ TEST(TraceExportTest, ExportIfConfiguredFollowsTheEnvironment) {
   // call must agree with it.
   const std::string& path = trace_export_path();
   EXPECT_EQ(&path, &trace_export_path());  // stable reference
-  if (path.empty()) EXPECT_FALSE(export_trace_if_configured("unit_test"));
+  if (path.empty()) {
+    EXPECT_FALSE(export_trace_if_configured("unit_test"));
+  }
 }
 
 }  // namespace
