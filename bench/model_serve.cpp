@@ -11,7 +11,9 @@
 //   * batched — SparseModel::predict_batch over a batch-size sweep (the
 //     eval_batch RPC), reported as throughput and speedup vs scalar;
 //   * protocol — deterministic frame round-trip / corruption counts for the
-//     wire layer (every corrupted frame must be rejected);
+//     wire layer (every corrupted frame must be rejected), and the codec's
+//     encode / decode rates on a 256-row eval_batch frame (2.2 MB at the
+//     default 1086 variables, the size paperbench's sram_paper serves);
 //   * server — a ModelServer driven synchronously over socketpairs through
 //     poll_once(), so the overload / deadline / hot-reload counters are
 //     exact integers: a 12-frame burst against a pending cap of 4 sheds
@@ -25,11 +27,11 @@
 // sweeps (figs 4-6) interactive instead of cluster-scale.
 //
 // BENCH_model_serve.json: deterministic science (dimensions, lambda, test
-// error, round-trip bits, checksums, protocol counts) is exact-gated by
-// scripts/bench_compare.py; throughput keys are time-like and stay
-// informational. --min-evals-per-second / --min-batch-speedup turn the
-// acceptance thresholds into hard exit-status checks when generating an
-// official baseline.
+// error, round-trip bits, checksums, protocol counts, the batch frame's size
+// and CRC) is exact-gated by scripts/bench_compare.py; throughput keys are
+// time-like and stay informational. --min-evals-per-second /
+// --min-batch-speedup / --min-decode-mb-per-s turn the acceptance
+// thresholds into hard exit-status checks.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "io/crc32.hpp"
 #include "io/wire.hpp"
 #include "serve/model_codec.hpp"
 #include "serve/protocol.hpp"
@@ -79,6 +82,9 @@ int main(int argc, char** argv) {
   args.add_option("min-batch-speedup", "0",
                   "fail unless batch-1024 speedup reaches this (0 = report "
                   "only)");
+  args.add_option("min-decode-mb-per-s", "0",
+                  "fail unless eval_batch frame decode reaches this many "
+                  "MB/s (0 = report only)");
   args.parse(argc, argv);
   if (args.help_requested()) {
     std::printf("%s", args.usage("model_serve").c_str());
@@ -256,12 +262,74 @@ int main(int argc, char** argv) {
               static_cast<long>(kFrames),
               static_cast<long>(corrupted_rejected),
               static_cast<long>(kFrames));
+
+  // Codec rates on one eval_batch request frame, timed the way the server
+  // and a client spend them: encode is payload assembly plus encode_frame,
+  // decode is peek_frame (the CRC check) plus reading the samples back.
+  const Index kBatchFrameRows = 256;
+  const int kCodecReps = 64;
+  std::string batch_payload;
+  std::string batch_frame;
+  WallTimer encode_timer;
+  for (int rep = 0; rep < kCodecReps; ++rep) {
+    batch_payload.clear();
+    io::put_bytes(batch_payload, "srv");
+    io::put_u32(batch_payload, 0);
+    io::put_u32(batch_payload, static_cast<std::uint32_t>(kBatchFrameRows));
+    io::put_u32(batch_payload, static_cast<std::uint32_t>(n));
+    for (Index r = 0; r < kBatchFrameRows; ++r)
+      io::put_reals(batch_payload, probes.row(r));
+    batch_frame = serve::encode_frame(serve::MessageType::kEvalBatchRequest,
+                                      batch_payload);
+  }
+  const double encode_seconds = encode_timer.seconds();
+  std::vector<Real> decoded(static_cast<std::size_t>(kBatchFrameRows * n));
+  bool batch_frame_decoded = true;
+  WallTimer decode_timer;
+  for (int rep = 0; rep < kCodecReps; ++rep) {
+    const serve::FrameView view = serve::peek_frame(batch_frame).value();
+    io::WireReader in(view.payload, "eval_batch frame");
+    (void)in.bytes();  // model name
+    (void)in.u32();    // version
+    const std::uint32_t rows = in.u32();
+    const std::uint32_t cols = in.u32();
+    in.reals(decoded);
+    in.expect_done();
+    if (rows != static_cast<std::uint32_t>(kBatchFrameRows) ||
+        cols != static_cast<std::uint32_t>(n))
+      batch_frame_decoded = false;
+  }
+  const double decode_seconds = decode_timer.seconds();
+  for (Index r = 0; r < kBatchFrameRows; ++r)
+    for (Index j = 0; j < n; ++j)
+      if (!same_bits(decoded[static_cast<std::size_t>(r * n + j)],
+                     probes(r, j)))
+        batch_frame_decoded = false;
+  const double codec_mb = static_cast<double>(kCodecReps) *
+                          static_cast<double>(batch_frame.size()) / 1e6;
+  const double encode_mbps = codec_mb / encode_seconds;
+  const double decode_mbps = codec_mb / decode_seconds;
+  const std::uint32_t batch_frame_crc =
+      io::crc32(batch_frame.data(), batch_frame.size() - 4);
+  std::printf("protocol: %ld-row eval_batch frame of %zu bytes (crc "
+              "%08x, %s): encode %.0f MB/s, decode %.0f MB/s\n",
+              static_cast<long>(kBatchFrameRows), batch_frame.size(),
+              batch_frame_crc,
+              batch_frame_decoded ? "round-trips" : "DIVERGED", encode_mbps,
+              decode_mbps);
+
   obs::JsonValue protocol_json = obs::JsonValue::object();
   protocol_json.set("frames_round_tripped",
                     static_cast<std::int64_t>(frames_round_tripped));
   protocol_json.set("corrupted_frames_rejected",
                     static_cast<std::int64_t>(corrupted_rejected));
   protocol_json.set("frames_attempted", static_cast<std::int64_t>(kFrames));
+  protocol_json.set("batch_frame_bytes",
+                    static_cast<std::int64_t>(batch_frame.size()));
+  protocol_json.set("batch_frame_crc",
+                    static_cast<std::int64_t>(batch_frame_crc));
+  protocol_json.set("encode_mb_per_second", encode_mbps);
+  protocol_json.set("decode_mb_per_second", decode_mbps);
   bench_report.results().set("protocol", std::move(protocol_json));
 
   // ---- Server: exact overload / deadline / reload counters. ----
@@ -471,7 +539,7 @@ int main(int argc, char** argv) {
 
   bool ok = predict_identical && gradient_identical &&
             frames_round_tripped == kFrames && corrupted_rejected == kFrames &&
-            server_ok;
+            batch_frame_decoded && server_ok;
   const double min_eps = args.get_double("min-evals-per-second");
   if (min_eps > 0 && scalar_eps < min_eps) {
     std::fprintf(stderr, "FAIL: scalar %.0f evals/s < required %.0f\n",
@@ -482,6 +550,12 @@ int main(int argc, char** argv) {
   if (min_speedup > 0 && speedup_1024 < min_speedup) {
     std::fprintf(stderr, "FAIL: batch-1024 speedup %.2fx < required %.2fx\n",
                  speedup_1024, min_speedup);
+    ok = false;
+  }
+  const double min_decode = args.get_double("min-decode-mb-per-s");
+  if (min_decode > 0 && decode_mbps < min_decode) {
+    std::fprintf(stderr, "FAIL: frame decode %.0f MB/s < required %.0f\n",
+                 decode_mbps, min_decode);
     ok = false;
   }
   if (!ok) std::fprintf(stderr, "model_serve: acceptance checks failed\n");

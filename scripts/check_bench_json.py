@@ -29,9 +29,10 @@ Checks (stdlib only, exit status 0 = all files valid):
     round-trip block must attest bit-identical predict AND gradient, the
     scalar block must carry a positive throughput, the batch sweep must be
     a non-empty map of positive-integer batch sizes each with rows /
-    checksum / evals_per_second / speedup_vs_scalar, and the protocol
+    checksum / evals_per_second / speedup_vs_scalar, the protocol
     counters must show every attempted frame round-tripped and every
-    corrupted frame rejected;
+    corrupted frame rejected, and the eval_batch codec frame must carry
+    its byte count, a u32 CRC and non-negative encode/decode MB/s rates;
   * tool == "model_server" reports (examples/model_server.cpp --report):
     serving counters present, non-negative, and internally consistent
     (evals <= requests served).
@@ -424,6 +425,14 @@ def check_model_serve_results(doc_path, results):
                  f"protocol.{key} is {protocol[key]} but {attempted} frames "
                  "were attempted: the wire layer must round-trip every good "
                  "frame and reject every corrupted one")
+    _require_int(doc_path, "protocol", protocol, "batch_frame_bytes",
+                 minimum=1)
+    if _require_int(doc_path, "protocol", protocol,
+                    "batch_frame_crc") > 0xFFFFFFFF:
+        fail(doc_path, "protocol.batch_frame_crc must fit in a u32, got "
+                       f"{protocol['batch_frame_crc']}")
+    for key in ("encode_mb_per_second", "decode_mb_per_second"):
+        _require_number(doc_path, "protocol", protocol, key, minimum=0)
 
     check_server_counters(doc_path, "server", results.get("server"))
 

@@ -1,11 +1,14 @@
 // Checksums for the durable-I/O layer.
 //
-// CRC32 (the IEEE 802.3 / zlib polynomial, reflected, table-driven) guards
-// every checkpoint header and record against bit flips and torn writes;
-// FNV-1a 64 fingerprints in-memory configuration (sample matrices, fault
-// plans) so a resume can prove it is continuing the *same* campaign. Both
-// are tiny, dependency-free, and byte-order independent on the inputs they
-// are fed (the io layer serializes little-endian explicitly).
+// CRC32 (the IEEE 802.3 / zlib polynomial, reflected) guards every
+// checkpoint header and record, model artifact and RSF1 frame against bit
+// flips and torn writes. Little-endian hosts fold 16 bytes per step through
+// 16 lookup tables (slicing-by-16) and finish the tail a byte at a time;
+// big-endian hosts run only the byte loop. Either way the values are
+// zlib.crc32's. FNV-1a 64 fingerprints in-memory configuration (sample
+// matrices, fault plans) so a resume can prove it is continuing the *same*
+// campaign. Both are dependency-free and byte-order independent on the
+// inputs they are fed (the io layer serializes little-endian explicitly).
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "io/wire.hpp"
 
 #include <bit>
+#include <cstring>
 #include <sstream>
 
 #include "util/errors.hpp"
@@ -28,6 +29,15 @@ void put_u64(std::string& out, std::uint64_t v) {
 
 void put_real(std::string& out, Real v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+void put_reals(std::string& out, std::span<const Real> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    out.append(reinterpret_cast<const char*>(values.data()),
+               values.size_bytes());
+  } else {
+    for (const Real v : values) put_real(out, v);
+  }
 }
 
 void put_bytes(std::string& out, std::string_view bytes) {
@@ -83,6 +93,16 @@ std::uint64_t WireReader::u64() {
 }
 
 Real WireReader::real() { return std::bit_cast<Real>(u64()); }
+
+void WireReader::reals(std::span<Real> out) {
+  if (out.size() > remaining() / sizeof(Real)) fail("truncated real array");
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) std::memcpy(out.data(), cursor(), out.size_bytes());
+    pos_ += out.size_bytes();
+  } else {
+    for (Real& v : out) v = real();
+  }
+}
 
 std::string WireReader::bytes() {
   const std::uint32_t n = u32();

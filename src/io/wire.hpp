@@ -3,16 +3,20 @@
 //
 // Fixed-width little-endian integers plus IEEE-754 doubles moved through
 // their bit patterns, so checkpoints, model files and protocol frames are
-// byte-for-byte identical across platforms. The writer appends to a
-// caller-owned std::string (the unit both atomic_write_file and the socket
-// send path consume); the reader is bounds-checked and fails closed with a
-// structured IoError naming the artifact being decoded, so a truncated
-// buffer can never yield a value. Nothing else in src/ splits or assembles
-// integers byte by byte (rsm-lint rule one-wire-codec).
+// byte-for-byte identical across platforms. Arrays of doubles (eval
+// samples, batch replies) move in bulk: put_reals and WireReader::reals
+// write and read the same bytes as a loop of put_real / real, with one
+// memcpy on little-endian hosts. The writer appends to a caller-owned
+// std::string (the unit both atomic_write_file and the socket send path
+// consume); the reader is bounds-checked and fails closed with a structured
+// IoError naming the artifact being decoded, so a truncated buffer can
+// never yield a value. Nothing else in src/ splits or assembles integers
+// byte by byte (rsm-lint rule one-wire-codec).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -27,6 +31,9 @@ void put_u64(std::string& out, std::uint64_t v);
 
 /// Real through its IEEE-754 bit pattern (u64, little-endian).
 void put_real(std::string& out, Real v);
+
+/// Every value of `values` as put_real writes it, with no count prefix.
+void put_reals(std::string& out, std::span<const Real> values);
 
 /// u32 byte count followed by the raw bytes.
 void put_bytes(std::string& out, std::string_view bytes);
@@ -45,6 +52,11 @@ class WireReader {
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] Real real();
+
+  /// Fills `out` with out.size() reals written by put_reals or put_real.
+  /// Checks that all of them are present before writing any: on a short
+  /// buffer it throws, leaving `out` and position() unchanged.
+  void reals(std::span<Real> out);
 
   /// Length-prefixed byte string written by put_bytes. The declared length
   /// is validated against the remaining buffer before any allocation.

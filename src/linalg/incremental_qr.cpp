@@ -96,11 +96,6 @@ std::span<const Real> IncrementalQr::q_column(Index j) const {
   return {q_.data() + j * rows_, static_cast<std::size_t>(rows_)};
 }
 
-Real IncrementalQr::r_entry(Index i, Index j) const {
-  RSM_DCHECK(i >= 0 && j >= i && j < num_cols_);
-  return r_(i, j);
-}
-
 std::vector<Real> IncrementalQr::project(std::span<const Real> b) const {
   RSM_CHECK(static_cast<Index>(b.size()) == rows_);
   std::vector<Real> qtb(static_cast<std::size_t>(num_cols_));

@@ -57,9 +57,6 @@ class IncrementalQr {
   /// Column j of the orthonormal factor.
   [[nodiscard]] std::span<const Real> q_column(Index j) const;
 
-  /// Entry of the triangular factor (i <= j).
-  [[nodiscard]] Real r_entry(Index i, Index j) const;
-
  private:
   Index rows_;
   Index max_cols_;

@@ -4,6 +4,7 @@
 
 #include "io/crc32.hpp"
 #include "io/wire.hpp"
+#include "obs/trace.hpp"
 #include "util/errors.hpp"
 
 namespace rsm::serve {
@@ -22,11 +23,10 @@ std::string encode_frame(MessageType type, std::string_view payload) {
   return out;
 }
 
-std::optional<Frame> try_extract_frame(std::string& buffer) {
+std::optional<FrameView> peek_frame(std::string_view buffer) {
   if (buffer.size() < kFrameHeaderBytes) return std::nullopt;
 
-  io::WireReader header(std::string_view(buffer).substr(0, kFrameHeaderBytes),
-                        "frame header");
+  io::WireReader header(buffer.substr(0, kFrameHeaderBytes), "frame header");
   const std::uint32_t magic = header.u32();
   if (magic != kFrameMagic) {
     std::ostringstream os;
@@ -46,17 +46,25 @@ std::optional<Frame> try_extract_frame(std::string& buffer) {
   const std::size_t frame_bytes = kFrameHeaderBytes + payload_len + 4;
   if (buffer.size() < frame_bytes) return std::nullopt;
 
+  // Only a complete frame reaches the span, so partial-frame polls between
+  // recv calls are not counted as decode time.
+  RSM_TRACE_SPAN("serve.frame_decode");
   const std::size_t crc_at = kFrameHeaderBytes + payload_len;
-  io::WireReader crc_in(std::string_view(buffer).substr(crc_at, 4),
-                        "frame crc");
+  io::WireReader crc_in(buffer.substr(crc_at, 4), "frame crc");
   const std::uint32_t stored_crc = crc_in.u32();
   if (io::crc32(buffer.data(), crc_at) != stored_crc)
     throw ProtocolError("frame CRC mismatch");
 
-  Frame frame;
-  frame.type = static_cast<MessageType>(type);
-  frame.payload = buffer.substr(kFrameHeaderBytes, payload_len);
-  buffer.erase(0, frame_bytes);
+  const std::string_view payload =
+      buffer.substr(kFrameHeaderBytes, payload_len);
+  return FrameView{static_cast<MessageType>(type), payload, frame_bytes};
+}
+
+std::optional<Frame> try_extract_frame(std::string& buffer) {
+  const std::optional<FrameView> view = peek_frame(buffer);
+  if (!view.has_value()) return std::nullopt;
+  Frame frame{view->type, std::string(view->payload)};
+  buffer.erase(0, view->size);
   return frame;
 }
 

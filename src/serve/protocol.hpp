@@ -8,10 +8,13 @@
 //   payload      payload_len bytes (request/response body, io/wire.hpp)
 //   crc          u32  CRC32 of the frame's first 9 + payload_len bytes
 //
-// try_extract_frame() consumes frames incrementally from a receive buffer:
+// peek_frame() checks the frame at the front of a receive buffer in place:
 // an incomplete frame returns nullopt (read more), a structurally invalid
 // one — wrong magic, length beyond the cap, CRC mismatch — throws a
-// structured ProtocolError. After a malformed frame the stream offset is
+// structured ProtocolError, and a valid one comes back as a view of its
+// payload, so the server decodes requests without copying them.
+// try_extract_frame() is peek_frame plus a copy of the payload and the
+// erase of the frame's bytes. After a malformed frame the stream offset is
 // unknowable, so the server replies with an error frame and closes the
 // connection instead of guessing a resync point.
 //
@@ -77,13 +80,27 @@ struct Frame {
   std::string payload;
 };
 
+/// A checked frame still inside the buffer it was read from: `payload`
+/// views that buffer, and `size` counts the whole frame (header, payload
+/// and CRC), the bytes to drop once it has been handled.
+struct FrameView {
+  MessageType type = MessageType::kErrorResponse;
+  std::string_view payload;
+  std::size_t size = 0;
+};
+
 /// Wraps `payload` in a complete frame (header + CRC), ready to send.
 [[nodiscard]] std::string encode_frame(MessageType type,
                                        std::string_view payload);
 
-/// Pops one complete frame off the front of `buffer` (erasing its bytes).
-/// Returns nullopt while the buffer holds only a prefix of a frame; throws
-/// ProtocolError when the bytes at the front cannot be a valid frame.
+/// Checks the frame at the front of `buffer` without copying or consuming
+/// it. Returns nullopt while the buffer holds only a prefix of a frame;
+/// throws ProtocolError when the bytes at the front cannot be a valid frame.
+[[nodiscard]] std::optional<FrameView> peek_frame(std::string_view buffer);
+
+/// Pops one complete frame off the front of `buffer` (erasing its bytes):
+/// peek_frame, then a copy of the payload. Returns and throws as peek_frame
+/// does, and leaves `buffer` untouched unless it returns a frame.
 [[nodiscard]] std::optional<Frame> try_extract_frame(std::string& buffer);
 
 }  // namespace rsm::serve

@@ -50,6 +50,21 @@ auto parse_payload(const char* request_name, Fn&& fn) {
   }
 }
 
+/// `count` reals, with the count refused against the bytes left before
+/// anything is allocated for it: a request header cannot make the server
+/// reserve memory its payload does not carry.
+std::vector<Real> read_reals(io::WireReader& in, std::uint64_t count) {
+  if (count > in.remaining() / sizeof(Real)) {
+    std::ostringstream os;
+    os << "declares " << count << " values but carries " << in.remaining()
+       << " bytes";
+    throw IoError(os.str());
+  }
+  std::vector<Real> values(static_cast<std::size_t>(count));
+  in.reals(values);
+  return values;
+}
+
 }  // namespace
 
 struct ModelServer::Connection {
@@ -191,7 +206,7 @@ std::pair<std::uint32_t, std::uint32_t> ModelServer::reload_models() {
   return {reloaded, failed};
 }
 
-std::string ModelServer::handle_eval(const std::string& payload) {
+std::string ModelServer::handle_eval(std::string_view payload) {
   RSM_TRACE_SPAN("serve.eval");
   struct Parsed {
     std::string name;
@@ -203,9 +218,7 @@ std::string ModelServer::handle_eval(const std::string& payload) {
     Parsed p;
     p.name = in.bytes();
     p.version = in.u32();
-    const std::uint32_t n = in.u32();
-    p.sample.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) p.sample.push_back(in.real());
+    p.sample = read_reals(in, in.u32());
     in.expect_done();
     return p;
   });
@@ -226,7 +239,7 @@ std::string ModelServer::handle_eval(const std::string& payload) {
   return encode_frame(MessageType::kEvalResponse, response);
 }
 
-std::string ModelServer::handle_eval_batch(const std::string& payload) {
+std::string ModelServer::handle_eval_batch(std::string_view payload) {
   RSM_TRACE_SPAN("serve.eval_batch");
   struct Parsed {
     std::string name;
@@ -240,11 +253,11 @@ std::string ModelServer::handle_eval_batch(const std::string& payload) {
     Parsed p;
     p.name = in.bytes();
     p.version = in.u32();
-    p.rows = static_cast<Index>(in.u32());
-    p.cols = static_cast<Index>(in.u32());
-    p.samples.reserve(static_cast<std::size_t>(p.rows * p.cols));
-    for (Index i = 0; i < p.rows * p.cols; ++i)
-      p.samples.push_back(in.real());
+    const std::uint32_t rows = in.u32();
+    const std::uint32_t cols = in.u32();
+    p.rows = static_cast<Index>(rows);
+    p.cols = static_cast<Index>(cols);
+    p.samples = read_reals(in, std::uint64_t{rows} * cols);
     in.expect_done();
     return p;
   });
@@ -281,11 +294,11 @@ std::string ModelServer::handle_eval_batch(const std::string& payload) {
 
   std::string response;
   io::put_u32(response, static_cast<std::uint32_t>(parsed.rows));
-  for (const Real v : out) io::put_real(response, v);
+  io::put_reals(response, out);
   return encode_frame(MessageType::kEvalBatchResponse, response);
 }
 
-std::string ModelServer::handle_yield(const std::string& payload) {
+std::string ModelServer::handle_yield(std::string_view payload) {
   RSM_TRACE_SPAN("serve.yield");
   struct Parsed {
     std::string name;
@@ -324,7 +337,7 @@ std::string ModelServer::handle_yield(const std::string& payload) {
   return encode_frame(MessageType::kYieldResponse, response);
 }
 
-std::string ModelServer::handle_worst_case(const std::string& payload) {
+std::string ModelServer::handle_worst_case(std::string_view payload) {
   RSM_TRACE_SPAN("serve.worst_case");
   struct Parsed {
     std::string name;
@@ -355,7 +368,7 @@ std::string ModelServer::handle_worst_case(const std::string& payload) {
   io::put_u32(response, static_cast<std::uint32_t>(result.iterations));
   io::put_u8(response, result.converged ? 1 : 0);
   io::put_u32(response, static_cast<std::uint32_t>(result.corner.size()));
-  for (const Real v : result.corner) io::put_real(response, v);
+  io::put_reals(response, result.corner);
   return encode_frame(MessageType::kWorstCaseResponse, response);
 }
 
@@ -374,7 +387,7 @@ std::string ModelServer::handle_list_models() {
   return encode_frame(MessageType::kListModelsResponse, response);
 }
 
-std::string ModelServer::handle_reload(const std::string& payload) {
+std::string ModelServer::handle_reload(std::string_view payload) {
   if (!payload.empty())
     throw ProtocolError("reload: request carries an unexpected payload");
   const auto [reloaded, failed] = reload_models();
@@ -396,7 +409,7 @@ std::string ModelServer::error_frame(ErrorCode code,
   return encode_frame(MessageType::kErrorResponse, response);
 }
 
-std::string ModelServer::handle_request(const Frame& frame) {
+std::string ModelServer::handle_request(const FrameView& frame) {
   RSM_TRACE_SPAN("serve.request");
   try {
     switch (frame.type) {
@@ -493,11 +506,14 @@ void ModelServer::service_connection(Connection& connection) {
 }
 
 void ModelServer::drain_connection(Connection& connection) {
+  // Frames are checked and handled in place in rx; `consumed` counts the
+  // bytes of those already answered (or shed), erased once at the end.
   std::size_t frames_extracted = 0;
+  std::size_t consumed = 0;
   while (!connection.closed && !connection.close_after_flush) {
-    std::optional<Frame> frame;
+    std::optional<FrameView> frame;
     try {
-      frame = try_extract_frame(connection.rx);
+      frame = peek_frame(std::string_view(connection.rx).substr(consumed));
     } catch (const ProtocolError& e) {
       // The stream offset is unknowable after a framing error: answer with
       // a structured error frame, then close rather than resync-guess. The
@@ -512,6 +528,7 @@ void ModelServer::drain_connection(Connection& connection) {
       break;
     }
     if (!frame.has_value()) break;
+    consumed += frame->size;
     ++frames_extracted;
     ++stats_.requests_served;
     obs::metrics().counter("serve.requests").increment();
@@ -523,8 +540,9 @@ void ModelServer::drain_connection(Connection& connection) {
         options_.max_pending_per_connection > 0 &&
         connection.admitted_this_cycle >= options_.max_pending_per_connection;
     if (!draining_ && (over_global || over_connection)) {
-      // Shed instead of queueing unboundedly. The frame is consumed (the
-      // stream stays in sync) and answered with a retryable error.
+      // Shed instead of queueing unboundedly. The frame is consumed
+      // unhandled (the stream stays in sync) and answered with a retryable
+      // error.
       ++stats_.requests_shed;
       obs::metrics().counter("serve.requests_shed").increment();
       std::ostringstream os;
@@ -543,6 +561,7 @@ void ModelServer::drain_connection(Connection& connection) {
     obs::metrics().counter("serve.requests_admitted").increment();
     queue_frame(connection, handle_request(*frame));
   }
+  connection.rx.erase(0, consumed);
 
   // Read-deadline bookkeeping: armed while a partial frame sits in rx, and
   // re-armed whenever a frame completed this pass — so a slow-loris client

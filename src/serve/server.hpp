@@ -56,6 +56,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/model.hpp"
@@ -176,13 +177,13 @@ class ModelServer {
   /// each changed one into the cache; returns {reloaded, failed}.
   std::pair<std::uint32_t, std::uint32_t> reload_models();
 
-  [[nodiscard]] std::string handle_request(const Frame& frame);
-  [[nodiscard]] std::string handle_eval(const std::string& payload);
-  [[nodiscard]] std::string handle_eval_batch(const std::string& payload);
-  [[nodiscard]] std::string handle_yield(const std::string& payload);
-  [[nodiscard]] std::string handle_worst_case(const std::string& payload);
+  [[nodiscard]] std::string handle_request(const FrameView& frame);
+  [[nodiscard]] std::string handle_eval(std::string_view payload);
+  [[nodiscard]] std::string handle_eval_batch(std::string_view payload);
+  [[nodiscard]] std::string handle_yield(std::string_view payload);
+  [[nodiscard]] std::string handle_worst_case(std::string_view payload);
   [[nodiscard]] std::string handle_list_models();
-  [[nodiscard]] std::string handle_reload(const std::string& payload);
+  [[nodiscard]] std::string handle_reload(std::string_view payload);
 
   [[nodiscard]] std::string error_frame(ErrorCode code,
                                         const std::string& message) const;

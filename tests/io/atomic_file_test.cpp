@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "io/atomic_file.hpp"
-#include "io/crc32.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
 
@@ -30,23 +29,6 @@ FsFaultInjector injector_with_first_kind(FsFaultKind want) {
   ADD_FAILURE() << "no seed produced first-op kind "
                 << fs_fault_kind_name(want);
   return FsFaultInjector{};
-}
-
-TEST(Crc32Test, MatchesKnownAnswer) {
-  // The canonical CRC-32 check value ("123456789" -> 0xcbf43926).
-  const char data[] = "123456789";
-  EXPECT_EQ(crc32(data, 9), 0xcbf43926u);
-}
-
-TEST(Crc32Test, ChainedEqualsWhole) {
-  const std::string data = "durable checkpoint bytes";
-  const std::uint32_t whole = crc32(data.data(), data.size());
-  const std::uint32_t head = crc32(data.data(), 7);
-  EXPECT_EQ(crc32(data.data() + 7, data.size() - 7, head), whole);
-}
-
-TEST(Fnv1a64Test, EmptyIsOffsetBasis) {
-  EXPECT_EQ(fnv1a64(nullptr, 0), kFnvOffsetBasis);
 }
 
 TEST(DurableFileTest, WritesAndAppends) {

@@ -1,16 +1,19 @@
 // Wire codec contract: every reader accessor fails closed with an IoError
 // naming its context when the buffer is one byte short, a declared length
 // is checked before anything is allocated for it, trailing bytes are
-// refused, and every writer/reader pair round-trips its extreme values bit
-// for bit.
+// refused, every writer/reader pair round-trips its extreme values bit for
+// bit, and the bulk real-array pair writes exactly the bytes of the
+// per-value one.
 #include "io/wire.hpp"
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <limits>
 #include <new>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -116,9 +119,31 @@ TEST(Wire, ExpectDoneRejectsTrailingBytes) {
   EXPECT_NO_THROW(in.expect_done());
 }
 
+constexpr std::uint64_t kQuietNanPayload = 0x7ff8dead0000beefull;
+constexpr std::uint64_t kNegativeSignalingNan = 0xfff0000000000001ull;
+
+/// Doubles whose bit patterns a lossy codec would disturb: signed zeros,
+/// the extremes, denormals, infinities and NaNs carrying payloads. The
+/// tests below use fixed arrays: against this file's replacement operator
+/// new, a std::vector trips GCC's -Wmismatched-new-delete.
+constexpr std::size_t kNumExtremeReals = 11;
+std::array<Real, kNumExtremeReals> extreme_reals() {
+  return {
+      0.0,
+      -0.0,
+      std::numeric_limits<Real>::max(),
+      std::numeric_limits<Real>::lowest(),
+      std::numeric_limits<Real>::min() / 3,  // denormal
+      std::numeric_limits<Real>::denorm_min(),
+      -std::numeric_limits<Real>::denorm_min(),
+      std::numeric_limits<Real>::infinity(),
+      -std::numeric_limits<Real>::infinity(),
+      std::bit_cast<Real>(kQuietNanPayload),
+      std::bit_cast<Real>(kNegativeSignalingNan),
+  };
+}
+
 TEST(Wire, ExtremeValuesRoundTripExactly) {
-  constexpr std::uint64_t kQuietNanPayload = 0x7ff8dead0000beefull;
-  constexpr std::uint64_t kNegativeSignalingNan = 0xfff0000000000001ull;
   const Real reals[] = {
       0.0,
       -0.0,
@@ -159,6 +184,65 @@ TEST(Wire, ExtremeValuesRoundTripExactly) {
   EXPECT_EQ(in.bytes(), blob);
   EXPECT_EQ(in.bytes(), "");
   EXPECT_NO_THROW(in.expect_done());
+}
+
+TEST(Wire, PutRealsWritesTheBytesOfAPutRealLoop) {
+  const std::array<Real, kNumExtremeReals> values = extreme_reals();
+  std::string looped = "prefix";
+  for (const Real v : values) put_real(looped, v);
+  std::string bulk = "prefix";
+  put_reals(bulk, values);
+  EXPECT_EQ(bulk, looped);
+
+  std::string empty = "prefix";
+  put_reals(empty, std::span<const Real>{});
+  EXPECT_EQ(empty, "prefix");
+}
+
+TEST(Wire, RealsRoundTripEveryBitPattern) {
+  const std::array<Real, kNumExtremeReals> values = extreme_reals();
+  std::string bytes;
+  put_u8(bytes, 0x17);  // leaves the array at an odd offset
+  put_reals(bytes, values);
+  for (const Real v : values) put_real(bytes, v);
+
+  WireReader in(bytes, kContext);
+  EXPECT_EQ(in.u8(), 0x17u);
+  std::array<Real, kNumExtremeReals> bulk{};
+  in.reals(bulk);
+  std::array<Real, kNumExtremeReals> from_put_real{};
+  in.reals(from_put_real);
+  EXPECT_NO_THROW(in.expect_done());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk[i]),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << "value " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(from_put_real[i]),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << "value " << i;
+  }
+}
+
+TEST(Wire, RealsOneByteShortThrowsAndWritesNothing) {
+  const std::array<Real, 3> values = {1.5, -2.25, 1e-300};
+  std::string bytes;
+  put_u32(bytes, 3);
+  put_reals(bytes, values);
+  bytes.pop_back();
+
+  WireReader in(bytes, kContext);
+  ASSERT_EQ(in.u32(), 3u);
+  const std::size_t before = in.position();
+  std::array<Real, 3> out = {42.0, 42.0, 42.0};
+  try {
+    in.reals(out);
+    FAIL() << "reals read past a buffer one byte short";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(kContext), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(in.position(), before);
+  for (const Real v : out) EXPECT_EQ(v, 42.0);
 }
 
 }  // namespace

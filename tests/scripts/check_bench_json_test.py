@@ -4,8 +4,9 @@
 
 Builds minimal schema-v2 reports in a tempdir and verifies the serve-layer
 validation: a well-formed model_serve report passes, and each guarded
-defect — unequal protocol counters, a non-bit-identical round trip, a
-missing batch table, a malformed fingerprint — fails the gate. Same for
+defect — unequal protocol counters, a batch frame CRC wider than a u32, a
+missing decode rate, a non-bit-identical round trip, a missing batch
+table, a malformed fingerprint — fails the gate. Same for
 the model_server --report shape (eval/request accounting, the
 signal_cancelled flag).
 
@@ -56,7 +57,10 @@ SERVE_RESULTS = {
     "batch": {"16": {"rows": 4096, "checksum": 0.5,
                      "evals_per_second": 4.0e6, "speedup_vs_scalar": 4.0}},
     "protocol": {"frames_attempted": 64, "frames_round_tripped": 64,
-                 "corrupted_frames_rejected": 64},
+                 "corrupted_frames_rejected": 64,
+                 "batch_frame_bytes": 2224160, "batch_frame_crc": 2133988063,
+                 "encode_mb_per_second": 1200.0,
+                 "decode_mb_per_second": 1600.0},
     "server": {"requests": 16, "accepted": 8, "shed": 8, "timed_out": 1,
                "idle_closed": 0, "reloads": 1, "reload_failures": 1,
                "burst_overloaded": 8, "healthy_evals": 1,
@@ -113,6 +117,18 @@ def main():
         code, out = run_checker(tmp, serve_doc(unequal_protocol))
         check(code == 1 and "corrupted_frames_rejected" in out,
               "protocol counter short of frames_attempted rejected")
+
+        def wide_crc(r):
+            r["protocol"]["batch_frame_crc"] = 1 << 32
+        code, out = run_checker(tmp, serve_doc(wide_crc))
+        check(code == 1 and "batch_frame_crc" in out,
+              "batch frame CRC wider than a u32 rejected")
+
+        def no_decode_rate(r):
+            del r["protocol"]["decode_mb_per_second"]
+        code, out = run_checker(tmp, serve_doc(no_decode_rate))
+        check(code == 1 and "decode_mb_per_second" in out,
+              "missing batch frame decode rate rejected")
 
         def drifted(r):
             r["round_trip"]["predict_identical"] = False

@@ -104,6 +104,48 @@ TEST(Protocol, PartialHeaderIsIncompleteNotError) {
   EXPECT_EQ(buffer.size(), kFrameHeaderBytes - 1);  // nothing consumed
 }
 
+TEST(Protocol, PeekFrameMatchesExtractAndLeavesBufferUnchanged) {
+  std::string batch;
+  io::put_bytes(batch, "m");
+  io::put_u32(batch, 0);
+  io::put_u32(batch, 2);
+  io::put_u32(batch, 3);
+  const std::vector<Real> samples = {1.0, -0.0, 1e-300, 2.5, -7.0, 0.125};
+  io::put_reals(batch, samples);
+  const std::vector<Frame> frames = {
+      {MessageType::kEvalBatchRequest, batch},
+      {MessageType::kListModelsRequest, ""},
+      {MessageType::kEvalRequest, "payload-bytes"},
+  };
+  for (const Frame& original : frames) {
+    const std::string wire = encode_frame(original.type, original.payload);
+    // A second frame behind the first must not change what is peeked.
+    const std::string input =
+        wire + encode_frame(MessageType::kYieldRequest, "next");
+    const std::optional<FrameView> view = peek_frame(input);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_EQ(view->size, wire.size());
+    // A view into the buffer, not a copy.
+    EXPECT_EQ(view->payload.data(), input.data() + kFrameHeaderBytes);
+
+    std::string buffer = input;
+    const std::optional<Frame> extracted = try_extract_frame(buffer);
+    ASSERT_TRUE(extracted.has_value());
+    EXPECT_EQ(view->type, extracted->type);
+    EXPECT_EQ(view->payload, extracted->payload);
+    EXPECT_EQ(extracted->payload, original.payload);
+    EXPECT_EQ(buffer, input.substr(wire.size()));
+
+    // Every strict prefix is incomplete for both, and neither consumes it.
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      std::string prefix = wire.substr(0, len);
+      EXPECT_FALSE(peek_frame(prefix).has_value()) << len << " bytes";
+      EXPECT_FALSE(try_extract_frame(prefix).has_value()) << len << " bytes";
+      EXPECT_EQ(prefix, wire.substr(0, len));
+    }
+  }
+}
+
 // An eval request for model "srv", version 0, at sample (0.5, -1.25), as
 // an earlier build of the protocol framed it. Deployed clients speak these
 // bytes, so they must never change.

@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -271,6 +272,46 @@ TEST_F(ServerTest, BadRequestsEarnStructuredErrorsAndConnectionSurvives) {
   response = client.recv_frame();
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->type, MessageType::kEvalResponse);
+}
+
+TEST_F(ServerTest, HostileSampleCountsAreProtocolErrors) {
+  // Headers that declare far more samples than their frames carry: the
+  // counts must be refused against the payload before anything is sized
+  // from them (no signed overflow in rows * cols, no 32 GiB reserve).
+  TestClient client(socket_path());
+  const auto batch_header = [](std::uint32_t rows, std::uint32_t cols) {
+    std::string payload;
+    io::put_bytes(payload, "m");
+    io::put_u32(payload, 0);
+    io::put_u32(payload, rows);
+    io::put_u32(payload, cols);
+    return payload;
+  };
+  std::string eval;  // n = 2^32 - 1
+  io::put_bytes(eval, "m");
+  io::put_u32(eval, 0);
+  io::put_u32(eval, 0xffffffffu);
+  const std::pair<MessageType, std::string> hostile[] = {
+      {MessageType::kEvalBatchRequest, batch_header(0xffffffffu, 0xffffffffu)},
+      {MessageType::kEvalBatchRequest, batch_header(65536, 65536)},
+      {MessageType::kEvalRequest, eval},
+  };
+  for (const auto& [type, payload] : hostile) {
+    client.send_frame(type, payload);
+    const std::optional<Frame> response = client.recv_frame();
+    ASSERT_TRUE(response.has_value());
+    const ErrorFrame error = parse_error(*response);
+    EXPECT_EQ(error.code, ErrorCode::kProtocolError) << error.message;
+  }
+
+  // The connection survived all three: a valid request still answers.
+  const std::vector<Real> point(static_cast<std::size_t>(kVars), 0.25);
+  client.send_frame(MessageType::kEvalRequest, eval_payload(point));
+  const std::optional<Frame> response = client.recv_frame();
+  ASSERT_TRUE(response.has_value());
+  ASSERT_EQ(response->type, MessageType::kEvalResponse);
+  io::WireReader in(response->payload, "eval response");
+  EXPECT_TRUE(same_bits(in.real(), model_.predict(point)));
 }
 
 TEST_F(ServerTest, FramingCorruptionClosesOnlyThatConnection) {
