@@ -9,7 +9,8 @@
 //
 //   * scalar  — SparseModel::predict one point at a time (the eval RPC);
 //   * batched — SparseModel::predict_batch over a batch-size sweep (the
-//     eval_batch RPC), reported as throughput and speedup vs scalar;
+//     eval_batch RPC), reported as throughput and speedup vs scalar; each
+//     of these sweeps is timed kTimingRepeats times and reports the median;
 //   * protocol — deterministic frame round-trip / corruption counts for the
 //     wire layer (every corrupted frame must be rejected), and the codec's
 //     encode / decode rates on a 256-row eval_batch frame (2.2 MB at the
@@ -35,6 +36,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -63,6 +66,23 @@ namespace {
 /// registry makes.
 bool same_bits(rsm::Real a, rsm::Real b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Each throughput sweep runs this many times and reports its median time,
+/// so one sweep that loses the core on a shared machine does not set it.
+constexpr int kTimingRepeats = 5;
+
+/// Median wall time of kTimingRepeats calls of `sweep`.
+template <class Sweep>
+double median_seconds(Sweep&& sweep) {
+  std::array<double, kTimingRepeats> seconds{};
+  for (double& s : seconds) {
+    rsm::WallTimer timer;
+    sweep();
+    s = timer.seconds();
+  }
+  std::ranges::nth_element(seconds, seconds.begin() + kTimingRepeats / 2);
+  return seconds[kTimingRepeats / 2];
 }
 
 }  // namespace
@@ -178,15 +198,17 @@ int main(int argc, char** argv) {
   // ---- Scalar throughput: the eval RPC hot path. ----
   const Index scalar_evals = args.get_int("scalar-evals");
   Real scalar_checksum = 0;
-  WallTimer scalar_timer;
-  for (Index i = 0; i < scalar_evals; ++i)
-    scalar_checksum += model.predict(probes.row(i % kProbe));
-  const double scalar_seconds = scalar_timer.seconds();
+  const double scalar_seconds = median_seconds([&] {
+    scalar_checksum = 0;
+    for (Index i = 0; i < scalar_evals; ++i)
+      scalar_checksum += model.predict(probes.row(i % kProbe));
+  });
   const double scalar_eps =
       static_cast<double>(scalar_evals) / scalar_seconds;
-  std::printf("scalar: %ld evals in %.3f s = %.2fM evals/s\n",
+  std::printf("scalar: %ld evals in %.3f s (median of %d sweeps) = %.2fM "
+              "evals/s\n",
               static_cast<long>(scalar_evals), scalar_seconds,
-              scalar_eps / 1e6);
+              kTimingRepeats, scalar_eps / 1e6);
   obs::JsonValue scalar_json = obs::JsonValue::object();
   scalar_json.set("evals", static_cast<std::int64_t>(scalar_evals));
   scalar_json.set("checksum", static_cast<double>(scalar_checksum));
@@ -208,13 +230,14 @@ int main(int argc, char** argv) {
     std::vector<Real> out(static_cast<std::size_t>(batch));
     const Index reps = batch_rows_total / batch;
     Real batch_checksum = 0;
-    WallTimer batch_timer;
-    for (Index rep = 0; rep < reps; ++rep) {
-      model.predict_batch(block, out);
-      batch_checksum += out[static_cast<std::size_t>(rep) %
-                            static_cast<std::size_t>(batch)];
-    }
-    const double seconds = batch_timer.seconds();
+    const double seconds = median_seconds([&] {
+      batch_checksum = 0;
+      for (Index rep = 0; rep < reps; ++rep) {
+        model.predict_batch(block, out);
+        batch_checksum += out[static_cast<std::size_t>(rep) %
+                              static_cast<std::size_t>(batch)];
+      }
+    });
     const double eps = static_cast<double>(reps * batch) / seconds;
     const double speedup = eps / scalar_eps;
     if (batch == 1024) speedup_1024 = speedup;
@@ -230,6 +253,8 @@ int main(int argc, char** argv) {
     batch_json.set(std::to_string(batch), std::move(entry));
   }
   bench_report.results().set("batch", std::move(batch_json));
+  bench_report.results().set("timing_repeats",
+                             static_cast<std::int64_t>(kTimingRepeats));
   std::printf("\n%s\n", table.render().c_str());
 
   // ---- Protocol layer: deterministic framing counts. ----

@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "core/column_source.hpp"
 #include "core/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsm {
 
@@ -37,98 +40,123 @@ CrossValidationResult CrossValidator::run(const PathSolver& solver,
   Rng rng(options_.seed);
   rng.shuffle(perm);
 
-  CrossValidationResult result;
-  result.fold_curves.resize(static_cast<std::size_t>(q));
-  const auto skip_fold = [&](int fold, const char* why) {
-    RSM_WARN("cross-validation: skipping degenerate fold " << fold << ": "
-                                                           << why);
-    ++result.skipped_folds;
-    result.fold_curves[static_cast<std::size_t>(fold)].clear();
-    if (obs::telemetry_enabled()) {
-      obs::emit(obs::CvFoldEvent{
-          .solver = solver.name(), .fold = fold, .skipped = true});
-    }
+  // One pool part per fold. A part writes only its own outcome; the caller
+  // reads them in fold order after the join, so the result, the warnings
+  // and the fold events do not depend on which thread ran which fold.
+  struct FoldOutcome {
+    std::vector<Real> curve;  // one held-out error per path step
+    std::string skip_reason;  // non-empty: the fold is skipped
+    std::exception_ptr fatal;
   };
-
-  for (int fold = 0; fold < q; ++fold) {
+  std::vector<FoldOutcome> outcomes(static_cast<std::size_t>(q));
+  const auto fit_fold = [&](std::size_t part) {
     RSM_TRACE_SPAN("cv.fold");
-    // Split rows.
-    std::vector<Index> train_rows, test_rows;
-    for (Index i = 0; i < num_samples; ++i) {
-      const Index row = perm[static_cast<std::size_t>(i)];
-      if (static_cast<int>(i % q) == fold) {
-        test_rows.push_back(row);
-      } else {
-        train_rows.push_back(row);
-      }
-    }
-
-    // The training fold is a view of G's rows; only F is gathered.
-    const MaterializedSource g_train(g, train_rows);
-    std::vector<Real> f_train(train_rows.size());
-    for (std::size_t r = 0; r < train_rows.size(); ++r)
-      f_train[r] = f[static_cast<std::size_t>(train_rows[r])];
-    std::vector<Real> f_test(test_rows.size());
-    for (std::size_t r = 0; r < test_rows.size(); ++r)
-      f_test[r] = f[static_cast<std::size_t>(test_rows[r])];
-
-    // One path fit per fold; evaluate every lambda on the held-out fold. A
-    // degenerate fold (rank-collapsed training block, a solver that cannot
-    // make progress) is skipped with a warning — losing one of Q curves
-    // barely moves the averaged eps(lambda), aborting loses the campaign.
-    SolverPath path;
+    FoldOutcome& out = outcomes[part];
     try {
-      path = solver.fit_path(g_train, f_train, max_lambda);
-    } catch (const Error& e) {
-      // Only *numerical* failures are a property of the fold; a deadline or
-      // cancellation unwind is a property of the run and must propagate —
-      // treating it as a degenerate fold would silently bias the curve.
-      if (const auto* s = dynamic_cast<const StructuredError*>(&e)) {
-        if (s->code() == ErrorCode::kDeadlineExceeded ||
-            s->code() == ErrorCode::kIoError) {
-          throw;
+      // Split rows.
+      std::vector<Index> train_rows, test_rows;
+      for (Index i = 0; i < num_samples; ++i) {
+        const Index row = perm[static_cast<std::size_t>(i)];
+        if (static_cast<std::size_t>(i % q) == part) {
+          test_rows.push_back(row);
+        } else {
+          train_rows.push_back(row);
         }
       }
-      skip_fold(fold, e.what());
-      continue;
-    }
-    std::vector<Real>& curve =
-        result.fold_curves[static_cast<std::size_t>(fold)];
-    curve.reserve(static_cast<std::size_t>(path.num_steps()));
-    // Held-out rows of each column the path uses, gathered on first use.
-    std::vector<std::vector<Real>> held_out(static_cast<std::size_t>(g.cols()));
-    std::vector<Real> pred(test_rows.size());
-    for (Index t = 0; t < path.num_steps(); ++t) {
-      const std::vector<Index> sup = path.support(t);
-      const std::vector<Real>& coef =
-          path.coefficients[static_cast<std::size_t>(t)];
-      std::fill(pred.begin(), pred.end(), Real{0});
-      for (std::size_t s = 0; s < sup.size(); ++s) {
-        std::vector<Real>& column = held_out[static_cast<std::size_t>(sup[s])];
-        if (column.empty())
-          for (Index row : test_rows) column.push_back(g(row, sup[s]));
-        for (std::size_t r = 0; r < column.size(); ++r)
-          pred[r] += coef[s] * column[r];
-      }
-      curve.push_back(relative_rms_error(pred, f_test));
-    }
-    // A non-finite error (a NaN or Inf coefficient) would poison the
-    // averaged curve and could choose lambda: treat it as a failed fit.
-    if (!std::ranges::all_of(curve, [](Real e) { return std::isfinite(e); })) {
-      skip_fold(fold, "non-finite held-out error on the path");
-      continue;
-    }
 
+      // The training fold is a view of G's rows; only F is gathered.
+      const MaterializedSource g_train(g, train_rows);
+      std::vector<Real> f_train(train_rows.size());
+      for (std::size_t r = 0; r < train_rows.size(); ++r)
+        f_train[r] = f[static_cast<std::size_t>(train_rows[r])];
+      std::vector<Real> f_test(test_rows.size());
+      for (std::size_t r = 0; r < test_rows.size(); ++r)
+        f_test[r] = f[static_cast<std::size_t>(test_rows[r])];
+
+      // One path fit per fold; evaluate every lambda on the held-out fold. A
+      // degenerate fold (rank-collapsed training block, a solver that cannot
+      // make progress) is skipped with a warning — losing one of Q curves
+      // barely moves the averaged eps(lambda), aborting loses the campaign.
+      SolverPath path;
+      try {
+        path = solver.fit_path(g_train, f_train, max_lambda);
+      } catch (const Error& e) {
+        // Only *numerical* failures are a property of the fold; a deadline
+        // or cancellation unwind is a property of the run and must
+        // propagate — treating it as a degenerate fold would silently bias
+        // the curve.
+        if (const auto* s = dynamic_cast<const StructuredError*>(&e)) {
+          if (s->code() == ErrorCode::kDeadlineExceeded ||
+              s->code() == ErrorCode::kIoError) {
+            throw;
+          }
+        }
+        out.skip_reason = e.what();
+        return;
+      }
+      std::vector<Real>& curve = out.curve;
+      curve.reserve(static_cast<std::size_t>(path.num_steps()));
+      // Held-out rows of each column the path uses, gathered on first use.
+      std::vector<std::vector<Real>> held_out(
+          static_cast<std::size_t>(g.cols()));
+      std::vector<Real> pred(test_rows.size());
+      for (Index t = 0; t < path.num_steps(); ++t) {
+        const std::vector<Index> sup = path.support(t);
+        const std::vector<Real>& coef =
+            path.coefficients[static_cast<std::size_t>(t)];
+        std::fill(pred.begin(), pred.end(), Real{0});
+        for (std::size_t s = 0; s < sup.size(); ++s) {
+          std::vector<Real>& column =
+              held_out[static_cast<std::size_t>(sup[s])];
+          if (column.empty())
+            for (Index row : test_rows) column.push_back(g(row, sup[s]));
+          for (std::size_t r = 0; r < column.size(); ++r)
+            pred[r] += coef[s] * column[r];
+        }
+        curve.push_back(relative_rms_error(pred, f_test));
+      }
+      // A non-finite error (a NaN or Inf coefficient) would poison the
+      // averaged curve and could choose lambda: treat it as a failed fit.
+      if (!std::ranges::all_of(curve,
+                               [](Real e) { return std::isfinite(e); })) {
+        curve.clear();
+        out.skip_reason = "non-finite held-out error on the path";
+        return;
+      }
+    } catch (...) {
+      out.fatal = std::current_exception();
+    }
+  };
+  obs::traced_parallel_for(shared_pool(), static_cast<std::size_t>(q),
+                           fit_fold);
+
+  CrossValidationResult result;
+  result.fold_curves.resize(static_cast<std::size_t>(q));
+  for (int fold = 0; fold < q; ++fold) {
+    FoldOutcome& out = outcomes[static_cast<std::size_t>(fold)];
+    if (out.fatal) std::rethrow_exception(out.fatal);
+    if (!out.skip_reason.empty()) {
+      RSM_WARN("cross-validation: skipping degenerate fold "
+               << fold << ": " << out.skip_reason);
+      ++result.skipped_folds;
+      if (obs::telemetry_enabled()) {
+        obs::emit(obs::CvFoldEvent{
+            .solver = solver.name(), .fold = fold, .skipped = true});
+      }
+      continue;
+    }
+    const std::vector<Real>& curve = out.curve;
     if (obs::telemetry_enabled() && !curve.empty()) {
       const auto fold_best = std::min_element(curve.begin(), curve.end());
       obs::emit(obs::CvFoldEvent{
           .solver = solver.name(),
           .fold = fold,
-          .path_steps = path.num_steps(),
+          .path_steps = static_cast<Index>(curve.size()),
           .best_lambda = static_cast<Index>(fold_best - curve.begin()) + 1,
           .best_rmse = *fold_best,
           .skipped = false});
     }
+    result.fold_curves[static_cast<std::size_t>(fold)] = std::move(out.curve);
   }
 
   // Average the surviving fold curves over their common length.

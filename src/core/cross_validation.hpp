@@ -49,6 +49,10 @@ class CrossValidator {
   /// (>= 1) terms, scoring with relative_rms_error on the held-out fold.
   /// Each training fold is a row view of g (MaterializedSource over the
   /// fold's rows); held-out scoring reads only the columns a path selects.
+  /// The folds run concurrently as parts of shared_pool()->parallel_for
+  /// (one after another when RSM_THREADS=1); warnings, fold events and the
+  /// first fatal error follow fold order, so the result is bit-identical
+  /// for any thread count.
   [[nodiscard]] CrossValidationResult run(const PathSolver& solver,
                                           const Matrix& g,
                                           std::span<const Real> f,

@@ -53,8 +53,9 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
   };
 
   // Normalized active columns, in active order: column i of the K x |A|
-  // block occupies [i * K, (i + 1) * K).
+  // block occupies [i * K, (i + 1) * K). At most max_steps are active.
   std::vector<Real> active_block;
+  active_block.reserve(k * static_cast<std::size_t>(max_steps));
   const auto active_column = [&](std::size_t i) {
     return std::span<const Real>(active_block).subspan(i * k, k);
   };
@@ -87,13 +88,15 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
   if (c0 <= Real{0}) return path;
 
   bool just_dropped = false;
+  bool moved = false;  // the residual changed since c was last computed
   // Each loop iteration performs one LAR event (add or drop) plus a move.
   for (Index event = 0; event < 4 * max_steps + 8; ++event) {
     RSM_TRACE_SPAN("lar.step");
     check_cooperative_stop("lar.step");
     if (static_cast<Index>(active.size()) >= max_steps && !just_dropped) break;
 
-    correlate(residual, c);
+    if (moved) correlate(residual, c);
+    moved = false;
 
     if (!just_dropped) {
       // Admit the most correlated inactive column.
@@ -186,6 +189,7 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
     for (std::size_t i = 0; i < active.size(); ++i) beta[i] += gamma * d[i];
     axpy(gamma, u, mu);
     residual = vsub(f, mu);
+    moved = true;
 
     if (drop >= 0) {
       const Index col = active[static_cast<std::size_t>(drop)];

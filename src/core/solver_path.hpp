@@ -56,7 +56,9 @@ class PathSolver {
   virtual ~PathSolver() = default;
 
   /// Fits up to `max_steps` steps of the path for min ||G a - F||_2 with the
-  /// method's sparsity heuristic. F.size() == g.rows().
+  /// method's sparsity heuristic. F.size() == g.rows(). Cross-validation
+  /// runs its folds' fits at once on one solver object, so an override must
+  /// be safe to call concurrently: it may not write shared state.
   [[nodiscard]] virtual SolverPath fit_path(const ColumnSource& g,
                                             std::span<const Real> f,
                                             Index max_steps) const = 0;

@@ -7,6 +7,7 @@
 
 #include "obs/env.hpp"
 #include "util/sync.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace rsm::obs {
@@ -94,6 +95,36 @@ bool snapshot_node(const SpanNode& node, SpanStats& out) {
     }
   }
   return any;
+}
+
+/// The child `name` of `parent`, created when absent.
+SpanNode* child_node(SpanNode& parent, const char* name) {
+  for (const auto& child : parent.children) {
+    // Names are string literals: pointer equality is the common fast case.
+    if (child->name == name || std::strcmp(child->name, name) == 0)
+      return child.get();
+  }
+  auto node = std::make_unique<SpanNode>();
+  node->name = name;
+  node->parent = &parent;
+  parent.children.push_back(std::move(node));
+  return parent.children.back().get();
+}
+
+/// Adds the statistics of every descendant of `src` into the matching
+/// descendant of `dst`, creating the ones `dst` lacks.
+void merge_children(SpanNode& dst, const SpanNode& src) {
+  for (const auto& child : src.children) {
+    SpanNode& into = *child_node(dst, child->name);
+    if (child->count > 0) {
+      into.min = into.count == 0 ? child->min : std::min(into.min, child->min);
+      into.max = std::max(into.max, child->max);
+    }
+    into.count += child->count;
+    into.total += child->total;
+    into.cpu += child->cpu;
+    merge_children(into, *child);
+  }
 }
 
 void zero_node(SpanNode& node) {
@@ -209,25 +240,45 @@ void reset_tracing() {
   zero_node(thread_tree().root);
 }
 
+void traced_parallel_for(ThreadPool* pool, std::size_t count,
+                         const std::function<void(std::size_t)>& body) {
+  if (pool == nullptr) {
+    for (std::size_t part = 0; part < count; ++part) body(part);
+    return;
+  }
+  ThreadTree& caller = thread_tree();
+  std::vector<SpanNode> detached(count);
+  const auto merge = [&] {
+    for (const SpanNode& root : detached)
+      merge_children(*caller.current, root);
+  };
+  try {
+    pool->parallel_for(count, [&](std::size_t part) {
+      ThreadTree& tree = thread_tree();
+      if (&tree == &caller) return body(part);
+      SpanNode* const own = tree.current;
+      tree.current = &detached[part];
+      try {
+        body(part);
+      } catch (...) {
+        tree.current = own;
+        throw;
+      }
+      tree.current = own;
+    });
+  } catch (...) {
+    merge();
+    throw;
+  }
+  merge();
+}
+
 namespace detail {
 
 SpanNode* span_push(const char* name) {
   ThreadTree& tree = thread_tree();
-  SpanNode* current = tree.current;
-  for (const auto& child : current->children) {
-    // Names are string literals: pointer equality is the common fast case.
-    if (child->name == name || std::strcmp(child->name, name) == 0) {
-      tree.current = child.get();
-      return child.get();
-    }
-  }
-  auto node = std::make_unique<SpanNode>();
-  node->name = name;
-  node->parent = current;
-  SpanNode* raw = node.get();
-  current->children.push_back(std::move(node));
-  tree.current = raw;
-  return raw;
+  tree.current = child_node(*tree.current, name);
+  return tree.current;
 }
 
 void span_pop(SpanNode* node, double wall_seconds, double cpu_seconds) {

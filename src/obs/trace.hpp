@@ -29,9 +29,15 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
+
+namespace rsm {
+class ThreadPool;
+}
 
 namespace rsm::obs {
 
@@ -89,6 +95,16 @@ struct ThreadSpanStats {
 
 /// Discards all accumulated span statistics (calling thread + retired).
 void reset_tracing();
+
+/// Runs body(0), ..., body(count - 1) as the parts of pool->parallel_for,
+/// or in order on the calling thread when pool is nullptr. A pool worker
+/// never exits, so spans it kept in its own tree would never reach a
+/// snapshot: a part that runs on another thread records into a detached
+/// tree instead, and once every part has finished those trees are merged
+/// under the caller's current span. Totals under that span then sum over
+/// threads and can exceed its wall time.
+void traced_parallel_for(ThreadPool* pool, std::size_t count,
+                         const std::function<void(std::size_t)>& body);
 
 namespace detail {
 

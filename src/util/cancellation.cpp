@@ -33,7 +33,7 @@ void RunControl::check(const char* where, Index sample) const {
 }
 
 namespace detail {
-thread_local ScopedRunControl* g_run_control_top = nullptr;
+thread_local const ScopedRunControl* g_run_control_top = nullptr;
 }
 
 ScopedRunControl::ScopedRunControl(RunControl control)
@@ -42,6 +42,19 @@ ScopedRunControl::ScopedRunControl(RunControl control)
 }
 
 ScopedRunControl::~ScopedRunControl() { detail::g_run_control_top = prev_; }
+
+const ScopedRunControl* current_run_controls() {
+  return detail::g_run_control_top;
+}
+
+AdoptedRunControls::AdoptedRunControls(const ScopedRunControl* controls)
+    : prev_(detail::g_run_control_top) {
+  detail::g_run_control_top = controls;
+}
+
+AdoptedRunControls::~AdoptedRunControls() {
+  detail::g_run_control_top = prev_;
+}
 
 void check_cooperative_stop(const char* where, Index sample) {
   for (const ScopedRunControl* s = detail::g_run_control_top; s != nullptr;

@@ -19,7 +19,9 @@
 // check_cooperative_stop(), which is a no-op when no scope is active. This
 // keeps SampleEvaluator and the solver Options structs unchanged — the
 // campaign wraps each attempt in a scope and every instrumented loop below
-// it becomes interruptible. Scopes nest; a check honors every level.
+// it becomes interruptible. Scopes nest; a check honors every level. Work
+// that ThreadPool::parallel_for hands to another thread runs under its
+// caller's scopes there (AdoptedRunControls).
 #pragma once
 
 #include <atomic>
@@ -129,12 +131,31 @@ class ScopedRunControl {
   friend bool cooperative_stop_requested();
 
   RunControl control_;
-  ScopedRunControl* prev_;
+  const ScopedRunControl* prev_;
 };
 
 namespace detail {
-extern thread_local ScopedRunControl* g_run_control_top;
+extern thread_local const ScopedRunControl* g_run_control_top;
 }
+
+/// The calling thread's ambient stop controls: its innermost scope, which
+/// links every enclosing one; nullptr when no scope is active.
+[[nodiscard]] const ScopedRunControl* current_run_controls();
+
+/// Makes `controls`, captured with current_run_controls() on another thread,
+/// the calling thread's ambient stop controls for the adopter's lifetime, so
+/// a check here honors that thread's deadlines and cancellation. Those
+/// scopes must outlive the adopter.
+class AdoptedRunControls {
+ public:
+  explicit AdoptedRunControls(const ScopedRunControl* controls);
+  ~AdoptedRunControls();
+  AdoptedRunControls(const AdoptedRunControls&) = delete;
+  AdoptedRunControls& operator=(const AdoptedRunControls&) = delete;
+
+ private:
+  const ScopedRunControl* prev_;
+};
 
 /// Check site for interruptible loops: throws DeadlineExceededError when any
 /// ambient RunControl is cancelled or past its deadline; no-op (one

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <exception>
 
+#include "util/cancellation.hpp"
 #include "util/log.hpp"
 
 namespace rsm {
@@ -43,14 +44,15 @@ void raise_highwater(std::atomic<std::uint64_t>& highwater,
 }
 
 /// What one parallel_for call shares with the helper tasks it submits. A
-/// helper holds it by shared_ptr and dereferences `body`, which lives on
-/// the caller's stack, only after claiming a part: the caller waits for
-/// every claimed part, so a helper that starts after the call has returned
-/// finds nothing left and touches only this object.
+/// helper holds it by shared_ptr and dereferences `body` and the caller's
+/// stop controls, which live on the caller's stack, only after claiming a
+/// part: the caller waits for every claimed part, so a helper that starts
+/// after the call has returned finds nothing left and touches only this
+/// object.
 class FanOut {
  public:
   FanOut(std::size_t count, const std::function<void(std::size_t)>& body)
-      : count_(count), body_(&body) {}
+      : count_(count), body_(&body), controls_(current_run_controls()) {}
 
   /// Claims and runs parts until none is left, then counts them done.
   void drain() {
@@ -62,6 +64,7 @@ class FanOut {
       ++ran;
       if (failed_.load(std::memory_order_relaxed)) continue;
       try {
+        const AdoptedRunControls adopted(controls_);
         (*body_)(part);
       } catch (...) {
         if (!error) error = std::current_exception();
@@ -89,6 +92,7 @@ class FanOut {
  private:
   const std::size_t count_;
   const std::function<void(std::size_t)>* const body_;
+  const ScopedRunControl* const controls_;
   std::atomic<std::size_t> next_{0};
   std::atomic<bool> failed_{false};
   Mutex mutex_{"pool.fan_out", lock_rank::kPoolFanOut};

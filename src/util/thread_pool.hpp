@@ -27,8 +27,9 @@
 //     campaign layer, which catches per-row exceptions itself;
 //   * parallel_for() is the fan-out for one caller that needs every part
 //     done before it goes on (the correlation scan's column slices, the
-//     server's eval_batch chunks): the caller runs parts too, and a part's
-//     exception reaches the caller instead of the backstop above.
+//     cross-validation folds, the server's eval_batch chunks): the caller
+//     runs parts too, every part honors the caller's stop controls, and a
+//     part's exception reaches the caller instead of the backstop above.
 #pragma once
 
 #include <atomic>
@@ -106,9 +107,11 @@ class ThreadPool {
   /// finished. The caller claims parts from the same counter as the
   /// workers and waits only for parts a worker has already claimed, so the
   /// call completes even when every worker is busy, including when it is
-  /// made from inside a task of this pool. After the first exception a
-  /// part throws, unclaimed parts are skipped and that exception is
-  /// rethrown here once every claimed part has finished.
+  /// made from inside a task of this pool. Every part runs under the
+  /// caller's ambient stop controls (util/cancellation.hpp), whichever
+  /// thread runs it. After the first exception a part throws, unclaimed
+  /// parts are skipped and that exception is rethrown here once every
+  /// claimed part has finished.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
@@ -185,11 +188,11 @@ class ThreadPool {
 };
 
 /// The process-wide pool that splits the correlation scan
-/// (gemv_transposed) across cores. The calling thread takes a share of
-/// every parallel_for, so the pool has one worker fewer than the threads
-/// a scan may use: hardware_concurrency, capped by RSM_THREADS. nullptr
-/// when that leaves no worker (RSM_THREADS=1 or one core): the caller then
-/// runs alone. Created on first use.
+/// (gemv_transposed) and the cross-validation folds across cores. The
+/// calling thread takes a share of every parallel_for, so the pool has one
+/// worker fewer than the threads a scan may use: hardware_concurrency,
+/// capped by RSM_THREADS. nullptr when that leaves no worker (RSM_THREADS=1
+/// or one core): the caller then runs alone. Created on first use.
 [[nodiscard]] ThreadPool* shared_pool();
 
 }  // namespace rsm

@@ -1,20 +1,27 @@
 #include "core/cross_validation.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
+#include <variant>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/lar.hpp"
 #include "core/metrics.hpp"
 #include "core/omp.hpp"
+#include "core/pipeline.hpp"
 #include "core/star.hpp"
 #include "linalg/vector_ops.hpp"
+#include "obs/telemetry.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
+#include "util/cancellation.hpp"
 #include "util/errors.hpp"
 
 namespace rsm {
@@ -259,8 +266,10 @@ TEST(CrossValidation, CleanRunReportsNoSkippedFolds) {
   EXPECT_EQ(cv.skipped_folds, 0);
 }
 
-/// Delegates to OMP but throws on chosen invocations — a stand-in for a
-/// degenerate training block that breaks the path fit.
+/// Delegates to OMP but throws on its first calls — a stand-in for a
+/// degenerate training block that breaks the path fit. Folds run
+/// concurrently, so the calls are counted atomically and the failing folds
+/// are whichever calls came first.
 class FlakySolver : public PathSolver {
  public:
   explicit FlakySolver(int fail_first_n) : fail_first_n_(fail_first_n) {}
@@ -268,7 +277,7 @@ class FlakySolver : public PathSolver {
   [[nodiscard]] SolverPath fit_path(const ColumnSource& g,
                                     std::span<const Real> f,
                                     Index max_steps) const override {
-    if (calls_++ < fail_first_n_)
+    if (calls_.fetch_add(1) < fail_first_n_)
       throw SingularMatrixError("degenerate fold (injected)");
     return inner_.fit_path(g, f, max_steps);
   }
@@ -278,12 +287,12 @@ class FlakySolver : public PathSolver {
  private:
   OmpSolver inner_;
   int fail_first_n_;
-  mutable int calls_ = 0;
+  mutable std::atomic<int> calls_{0};
 };
 
 TEST(CrossValidation, DegenerateFoldIsSkippedNotFatal) {
   const SparseProblem prob = make_problem(80, 120, 4, 0.1, 511);
-  const FlakySolver solver(1);  // first fold's fit throws
+  const FlakySolver solver(1);  // one fold's fit throws
   const CrossValidationResult cv =
       CrossValidator().run(solver, prob.g, prob.f, 20);
   EXPECT_EQ(cv.skipped_folds, 1);
@@ -304,7 +313,9 @@ TEST(CrossValidation, AllFoldsDegenerateThrows) {
 }
 
 /// Delegates to OMP but returns NaN coefficients on its first calls — a
-/// stand-in for a fit that breaks down numerically without throwing.
+/// stand-in for a fit that breaks down numerically without throwing. Like
+/// FlakySolver it counts calls atomically: which folds are poisoned depends
+/// on the order in which concurrent folds reach the solver.
 class NanSolver : public PathSolver {
  public:
   explicit NanSolver(int poison_first_n) : poison_first_n_(poison_first_n) {}
@@ -313,7 +324,7 @@ class NanSolver : public PathSolver {
                                     std::span<const Real> f,
                                     Index max_steps) const override {
     SolverPath path = inner_.fit_path(g, f, max_steps);
-    if (calls_++ < poison_first_n_)
+    if (calls_.fetch_add(1) < poison_first_n_)
       for (auto& step : path.coefficients)
         std::fill(step.begin(), step.end(), std::nan(""));
     return path;
@@ -324,7 +335,7 @@ class NanSolver : public PathSolver {
  private:
   OmpSolver inner_;
   int poison_first_n_;
-  mutable int calls_ = 0;
+  mutable std::atomic<int> calls_{0};
 };
 
 TEST(CrossValidation, NonFiniteFoldCurveIsSkipped) {
@@ -333,7 +344,10 @@ TEST(CrossValidation, NonFiniteFoldCurveIsSkipped) {
       CrossValidator().run(NanSolver(1), prob.g, prob.f, 20);
   EXPECT_EQ(cv.skipped_folds, 1);
   ASSERT_EQ(cv.fold_curves.size(), 4u);
-  EXPECT_TRUE(cv.fold_curves[0].empty());
+  std::vector<std::size_t> poisoned;
+  for (std::size_t q = 0; q < cv.fold_curves.size(); ++q)
+    if (cv.fold_curves[q].empty()) poisoned.push_back(q);
+  ASSERT_EQ(poisoned.size(), 1u);
   for (Real e : cv.error_curve) EXPECT_TRUE(std::isfinite(e));
   EXPECT_TRUE(std::isfinite(cv.best_error));
   // The averaged curve, and so lambda, comes from the three clean folds.
@@ -341,10 +355,11 @@ TEST(CrossValidation, NonFiniteFoldCurveIsSkipped) {
       CrossValidator().run(OmpSolver(), prob.g, prob.f, 20);
   ASSERT_FALSE(cv.error_curve.empty());
   for (std::size_t t = 0; t < cv.error_curve.size(); ++t) {
-    const Real mean = (clean.fold_curves[1][t] + clean.fold_curves[2][t] +
-                       clean.fold_curves[3][t]) /
-                      3;
-    EXPECT_DOUBLE_EQ(cv.error_curve[t], mean) << "lambda " << t + 1;
+    Real sum = 0;
+    for (std::size_t q = 0; q < clean.fold_curves.size(); ++q)
+      if (q != poisoned[0]) sum += clean.fold_curves[q][t];
+    EXPECT_DOUBLE_EQ(cv.error_curve[t], sum / 3)
+        << "lambda " << t + 1 << ", poisoned fold " << poisoned[0];
   }
 }
 
@@ -358,6 +373,36 @@ TEST(CrossValidation, EveryFoldNonFiniteThrows) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(CrossValidation, CancelledRunStopsEveryFold) {
+  // The folds run as pool parts, some on other threads: each must honor the
+  // caller's stop control, so a cancelled build stops every fold at its
+  // first step and none emits one.
+  Rng rng(515);
+  const Index n = 40;  // quadratic dictionary, 861 columns
+  auto dict = std::make_shared<BasisDictionary>(BasisDictionary::quadratic(n));
+  const Matrix samples = monte_carlo_normal(240, n, rng);
+  const std::vector<Real> values = rng.normal_vector(240);
+  BuildOptions options;
+  options.method = Method::kLar;
+  options.max_lambda = 40;
+  options.cv_folds = 4;
+  const auto ring = std::make_shared<obs::RingBufferSink>();
+  const auto previous = obs::set_telemetry_sink(ring);
+  CancellationSource cancel;
+  cancel.request_cancel();
+  {
+    const ScopedRunControl control(
+        RunControl{.cancel = cancel.token(), .deadline = Deadline::unlimited()});
+    EXPECT_THROW((void)build_model(dict, samples, values, options),
+                 DeadlineExceededError);
+  }
+  obs::set_telemetry_sink(previous);
+  int steps = 0;
+  for (const obs::TelemetryRecord& record : ring->records())
+    if (std::holds_alternative<obs::SolverIterationEvent>(record)) ++steps;
+  EXPECT_EQ(steps, 0);
 }
 
 class CvFoldSweep : public ::testing::TestWithParam<int> {};

@@ -1,15 +1,18 @@
 // Pinned bits of the dense solvers. Each output below is hashed over its raw
 // bytes and compared with the hash an earlier build printed for the same
 // inputs: LAR (pure and LASSO, with drops), OMP, S-OMP, both least-squares
-// solvers, cholesky_solve and IncrementalQr::solve after a downdate. A
-// refactor of the linear algebra underneath them must leave every bit where
-// it was; a change that moves one has to say so and re-pin.
+// solvers, cholesky_solve, IncrementalQr::solve after a downdate, and Q-fold
+// cross-validation with LAR and with OMP. A refactor of the linear algebra
+// underneath them must leave every bit where it was; a change that moves one
+// has to say so and re-pin. The folds run concurrently on the shared pool, so
+// the cross-validation hashes must hold for any RSM_THREADS.
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/column_source.hpp"
+#include "core/cross_validation.hpp"
 #include "core/lar.hpp"
 #include "core/omp.hpp"
 #include "core/somp.hpp"
@@ -51,6 +54,15 @@ std::uint64_t hash_path(const SolverPath& path) {
       .add(path.coefficients)
       .add(path.active_sets)
       .add(path.residual_norms)
+      .value();
+}
+
+std::uint64_t hash_cv(const CrossValidationResult& cv) {
+  return BitHash()
+      .add(cv.fold_curves)
+      .add(cv.error_curve)
+      .add(std::vector<Index>{cv.best_lambda, cv.skipped_folds})
+      .add(std::vector<Real>{cv.best_error})
       .value();
 }
 
@@ -152,6 +164,24 @@ TEST(PinnedBits, OmpPath) {
   const SolverCase c = solver_case(120, 600, 1901);
   const SolverPath omp = OmpSolver().fit_path(MaterializedSource(c.g), c.f, 60);
   EXPECT_EQ(hash_path(omp), 0x61fe0bf2a7715bcfull);
+}
+
+TEST(PinnedBits, CrossValidationLar) {
+  const SolverCase c = solver_case(120, 600, 1901);
+  const CrossValidationResult cv =
+      CrossValidator().run(LarSolver(), c.g, c.f, 80);
+  ASSERT_EQ(cv.skipped_folds, 0);
+  EXPECT_EQ(cv.best_lambda, 64);
+  EXPECT_EQ(hash_cv(cv), 0x9f944b571d4eddfcull);
+}
+
+TEST(PinnedBits, CrossValidationOmp) {
+  const SolverCase c = solver_case(120, 600, 1901);
+  const CrossValidationResult cv =
+      CrossValidator().run(OmpSolver(), c.g, c.f, 60);
+  ASSERT_EQ(cv.skipped_folds, 0);
+  EXPECT_EQ(cv.best_lambda, 15);
+  EXPECT_EQ(hash_cv(cv), 0x05025ebfa1318751ull);
 }
 
 TEST(PinnedBits, SompThreeResponses) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
 #include <thread>
+
+#include "util/thread_pool.hpp"
 
 namespace rsm::obs {
 namespace {
@@ -156,6 +160,36 @@ TEST_F(TraceTest, TwoExitedThreadsAccumulateCounts) {
   const SpanStats* node = root.child("pooled.op");
   ASSERT_NE(node, nullptr);
   EXPECT_EQ(node->count, 6u);
+}
+
+// Pool workers never exit, so their own trees never reach a snapshot. Three
+// parts that wait for one another run on the caller and both workers, and
+// every part's spans still appear once, under the caller's span.
+TEST_F(TraceTest, PoolPartSpansMergeUnderTheCallersSpan) {
+  ThreadPool::Options options;
+  options.num_threads = 2;
+  ThreadPool pool(options);
+  constexpr std::size_t kParts = 3;
+  std::atomic<std::size_t> arrived{0};
+  {
+    RSM_TRACE_SPAN("fan.out");
+    traced_parallel_for(&pool, kParts, [&](std::size_t) {
+      RSM_TRACE_SPAN("fan.part");
+      arrived++;
+      while (arrived.load() < kParts) std::this_thread::yield();
+      RSM_TRACE_SPAN("fan.inner");
+    });
+  }
+  const SpanStats root = trace_snapshot();
+  EXPECT_EQ(root.child("fan.part"), nullptr);
+  const SpanStats* fan = root.child("fan.out");
+  ASSERT_NE(fan, nullptr);
+  const SpanStats* part = fan->child("fan.part");
+  ASSERT_NE(part, nullptr);
+  EXPECT_EQ(part->count, kParts);
+  const SpanStats* inner = part->child("fan.inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->count, kParts);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Work-stealing thread pool: execution, backpressure, retirement, the
 // exception backstop, RSM_THREADS worker-count resolution, and the
-// parallel_for fan-out.
+// parallel_for fan-out, whose parts run under the caller's stop controls.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/cancellation.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rsm {
@@ -384,6 +386,42 @@ TEST(ThreadPoolTest, ParallelForRethrowsAfterClaimedPartsFinish) {
   std::atomic<int> after{0};
   pool.parallel_for(16, [&after](std::size_t) { after++; });
   EXPECT_EQ(after.load(), 16);
+}
+
+// Three parts that wait for one another run on three threads: the caller
+// and both workers. Each sees the caller's cancelled scope, and a worker
+// drops it again once its part is done.
+TEST(ThreadPoolTest, ParallelForPartsRunUnderTheCallersStopControls) {
+  ThreadPool::Options options;
+  options.num_threads = 2;
+  ThreadPool pool(options);
+  constexpr std::size_t kParts = 3;
+  const auto run_parts = [&pool](std::array<bool, kParts>& stopped) {
+    std::array<std::thread::id, kParts> ran_on{};
+    std::atomic<std::size_t> arrived{0};
+    pool.parallel_for(kParts, [&](std::size_t part) {
+      arrived++;
+      while (arrived.load() < kParts) std::this_thread::yield();
+      ran_on[part] = std::this_thread::get_id();
+      stopped[part] = cooperative_stop_requested();
+    });
+    return std::set<std::thread::id>(ran_on.begin(), ran_on.end()).size();
+  };
+
+  CancellationSource cancel;
+  cancel.request_cancel();
+  std::array<bool, kParts> stopped{};
+  {
+    const ScopedRunControl control(
+        RunControl{.cancel = cancel.token(), .deadline = Deadline::unlimited()});
+    EXPECT_EQ(run_parts(stopped), kParts);
+  }
+  for (std::size_t part = 0; part < kParts; ++part)
+    EXPECT_TRUE(stopped[part]) << "part " << part;
+
+  EXPECT_EQ(run_parts(stopped), kParts);
+  for (std::size_t part = 0; part < kParts; ++part)
+    EXPECT_FALSE(stopped[part]) << "part " << part;
 }
 
 }  // namespace
