@@ -69,8 +69,7 @@ BuildReport build_model_from_design(
     ls_opt.ridge = options.ridge;
     const std::vector<Real> dense =
         LeastSquaresFitter(ls_opt).fit(design, values);
-    report.model = SparseModel::from_dense(dictionary, dense,
-                                           options.coefficient_threshold);
+    report.model = SparseModel::from_dense(dictionary, dense);
   } else {
     const std::unique_ptr<PathSolver> solver = make_path_solver(options.method);
     Index lambda = options.max_lambda;
@@ -91,8 +90,7 @@ BuildReport build_model_from_design(
     const Index t = std::min<Index>(lambda, path.num_steps()) - 1;
     const std::vector<Real> dense =
         path.dense_coefficients(t, dictionary->size());
-    report.model = SparseModel::from_dense(dictionary, dense,
-                                           options.coefficient_threshold);
+    report.model = SparseModel::from_dense(dictionary, dense);
   }
 
   report.lambda = report.model.num_terms();

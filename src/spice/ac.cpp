@@ -12,7 +12,7 @@ std::vector<Phasor> solve_ac(const Netlist& netlist, const DcSolution& op,
                              Real hz) {
   RSM_CHECK(hz >= 0);
   const Index n = netlist.mna_size();
-  ComplexStamp stamp(n);
+  Stamp<Phasor> stamp(n);
   const Real omega = 2 * std::numbers::pi_v<Real> * hz;
   stamp_ac(netlist, op.x, omega, stamp);
   ComplexLu lu(std::move(stamp.matrix()), n);

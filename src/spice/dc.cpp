@@ -7,61 +7,35 @@
 #include "linalg/lu.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "spice/mna.hpp"
 #include "util/cancellation.hpp"
 #include "util/log.hpp"
 
 namespace rsm::spice {
-namespace {
 
-/// Why a Newton run gave up; solve_dc aggregates these into the taxonomy
-/// error it throws when the whole ladder is exhausted.
-enum class RunFail { kNone, kSingular, kNonFinite, kMaxIterations };
-
-struct RunConfig {
-  Real gmin = 0;
-  Real source_scale = 1;
-  /// Pseudo-transient anchor: when set, every node is tied to
-  /// anchor[node] through g_anchor (companion model of a pseudo-capacitor).
-  const std::vector<Real>* anchor = nullptr;
-  Real g_anchor = 0;
-};
-
-/// One Newton run under a fixed convergence-aid configuration. Returns the
-/// converged flag; x is updated in place with the best iterate.
-bool newton_run(const Netlist& netlist, const DcOptions& opt,
-                const RunConfig& cfg, std::vector<Real>& x,
-                int& iterations_used, RunFail& fail) {
+NewtonResult newton_run(const Netlist& netlist, const DcOptions& opt,
+                        const NewtonAids& aids, std::vector<Real>& x,
+                        int& iterations_used) {
   const Index n = netlist.mna_size();
   const Index num_voltage_unknowns = netlist.num_nodes() - 1;
-  fail = RunFail::kMaxIterations;
   for (int it = 0; it < opt.max_iterations; ++it) {
     // A hung operating point must not outlive its watchdog: this is the
     // innermost loop a pathological sample spins in, so the campaign's
     // deadline/cancellation is polled here (no-op without an active scope).
     check_cooperative_stop("dc.newton");
-    RealStamp stamp(n);
-    stamp_dc(netlist, x, cfg.gmin, stamp, cfg.source_scale);
-    if (cfg.anchor != nullptr && cfg.g_anchor > 0) {
-      for (Index i = 0; i < num_voltage_unknowns; ++i) {
-        stamp.add(i, i, cfg.g_anchor);
-        stamp.add_rhs(i, cfg.g_anchor *
-                             (*cfg.anchor)[static_cast<std::size_t>(i)]);
-      }
-    }
+    Stamp<Real> stamp(n);
+    stamp_dc(netlist, x, aids.gmin, aids.source_scale, stamp);
+    for (const Companion& companion : aids.companions) companion.stamp(stamp);
 
     std::vector<Real> x_new;
     try {
       LuFactorization<Real> lu(std::move(stamp.matrix()), n);
       x_new = lu.solve(stamp.rhs());
     } catch (const Error&) {
-      fail = RunFail::kSingular;  // singular system; caller escalates
-      return false;
+      return NewtonResult::kSingular;  // singular system; caller escalates
     }
     for (Real v : x_new) {
       if (!std::isfinite(v)) {
-        fail = RunFail::kNonFinite;  // device model overflow / bad stamp
-        return false;
+        return NewtonResult::kNonFinite;  // device model overflow / bad stamp
       }
     }
 
@@ -98,24 +72,28 @@ bool newton_run(const Netlist& netlist, const DcOptions& opt,
         max_dv < opt.voltage_tolerance + opt.relative_tolerance * max_abs_v;
     const bool i_done =
         max_di < opt.current_tolerance + opt.relative_tolerance * max_abs_i;
-    if (v_done && i_done) {
-      fail = RunFail::kNone;
-      return true;
-    }
+    if (v_done && i_done) return NewtonResult::kConverged;
   }
-  return false;
+  return NewtonResult::kMaxIterations;
 }
 
-/// Strategy drivers. Each returns converged-at-target; `fail` reports the
-/// final verification run's failure mode.
+namespace {
 
-bool run_plain_newton(const Netlist& netlist, const DcOptions& opt,
-                      std::vector<Real>& x, int& iterations, RunFail& fail) {
-  return newton_run(netlist, opt, {.gmin = opt.gmin}, x, iterations, fail);
+/// Pseudo-transient anchor conductances [S]: the first rung's, and the
+/// last rung's before the unanchored handoff.
+constexpr Real kPtranGInitial = 1e2;
+constexpr Real kPtranGFinal = 1e-9;
+
+/// Strategy drivers. Each reports how its final run at the target gmin and
+/// full source strength ended.
+
+NewtonResult run_plain_newton(const Netlist& netlist, const DcOptions& opt,
+                              std::vector<Real>& x, int& iterations) {
+  return newton_run(netlist, opt, {.gmin = opt.gmin}, x, iterations);
 }
 
-bool run_gmin_stepping(const Netlist& netlist, const DcOptions& opt,
-                       std::vector<Real>& x, int& iterations, RunFail& fail) {
+NewtonResult run_gmin_stepping(const Netlist& netlist, const DcOptions& opt,
+                               std::vector<Real>& x, int& iterations) {
   // Start heavily damped (large gmin linearizes the system), walk down to
   // the target, warm-starting each rung from the previous.
   std::fill(x.begin(), x.end(), Real{0});
@@ -123,8 +101,8 @@ bool run_gmin_stepping(const Netlist& netlist, const DcOptions& opt,
   for (int step = 0; step <= opt.gmin_ladder_steps; ++step) {
     const bool last = gmin <= opt.gmin;
     const Real g = last ? opt.gmin : gmin;
-    RunFail rung_fail = RunFail::kNone;
-    if (!newton_run(netlist, opt, {.gmin = g}, x, iterations, rung_fail)) {
+    if (newton_run(netlist, opt, {.gmin = g}, x, iterations) !=
+        NewtonResult::kConverged) {
       RSM_DEBUG("DC: gmin rung " << g << " failed");
       // Keep descending anyway; a later rung sometimes recovers.
     }
@@ -133,12 +111,11 @@ bool run_gmin_stepping(const Netlist& netlist, const DcOptions& opt,
     if (gmin < opt.gmin) gmin = opt.gmin;
   }
   // Final verification run at the target gmin.
-  return newton_run(netlist, opt, {.gmin = opt.gmin}, x, iterations, fail);
+  return newton_run(netlist, opt, {.gmin = opt.gmin}, x, iterations);
 }
 
-bool run_source_stepping(const Netlist& netlist, const DcOptions& opt,
-                         std::vector<Real>& x, int& iterations,
-                         RunFail& fail) {
+NewtonResult run_source_stepping(const Netlist& netlist, const DcOptions& opt,
+                                 std::vector<Real>& x, int& iterations) {
   // Homotopy in source strength: at scale 0 the all-off circuit converges
   // from anywhere; each rung warm-starts the next along a continuous branch
   // of solutions, which steers multistable circuits to a stable state.
@@ -146,43 +123,43 @@ bool run_source_stepping(const Netlist& netlist, const DcOptions& opt,
   const int steps = std::max(opt.source_ladder_steps, 1);
   for (int step = 1; step <= steps; ++step) {
     const Real scale = static_cast<Real>(step) / static_cast<Real>(steps);
-    RunFail rung_fail = RunFail::kNone;
-    if (!newton_run(netlist, opt, {.gmin = opt.gmin, .source_scale = scale},
-                    x, iterations, rung_fail)) {
+    if (newton_run(netlist, opt, {.gmin = opt.gmin, .source_scale = scale}, x,
+                   iterations) != NewtonResult::kConverged) {
       RSM_DEBUG("DC: source rung " << scale << " failed");
     }
   }
-  return newton_run(netlist, opt, {.gmin = opt.gmin}, x, iterations, fail);
+  return newton_run(netlist, opt, {.gmin = opt.gmin}, x, iterations);
 }
 
-bool run_pseudo_transient(const Netlist& netlist, const DcOptions& opt,
-                          std::vector<Real>& x, int& iterations,
-                          RunFail& fail) {
-  // Pseudo-capacitor continuation: tie every node to its previous
-  // pseudo-state through g_anchor (backward-Euler companion of C/dt) and
-  // relax g_anchor geometrically — equivalent to integrating d/dt with an
-  // exponentially growing pseudo-timestep until the circuit is at rest.
+NewtonResult run_pseudo_transient(const Netlist& netlist,
+                                  const DcOptions& opt, std::vector<Real>& x,
+                                  int& iterations) {
+  // Pseudo-capacitor continuation: tie every node to ground through the
+  // backward-Euler companion of a pseudo-capacitor, whose history voltage
+  // is the node's previous pseudo-state, and relax its conductance
+  // geometrically — equivalent to integrating d/dt with an exponentially
+  // growing pseudo-timestep until the circuit is at rest.
   std::fill(x.begin(), x.end(), Real{0});
   const int steps = std::max(opt.ptran_steps, 1);
-  const Real g0 = std::max(opt.ptran_g_initial, opt.ptran_g_final);
-  const Real g1 = std::max(opt.ptran_g_final, Real{1e-300});
   const Real shrink =
-      steps > 1 ? std::pow(g1 / g0, Real{1} / static_cast<Real>(steps - 1))
+      steps > 1 ? std::pow(kPtranGFinal / kPtranGInitial,
+                           Real{1} / static_cast<Real>(steps - 1))
                 : Real{1};
-  std::vector<Real> anchor = x;
-  Real g = g0;
+  std::vector<Companion> anchors(static_cast<std::size_t>(
+      netlist.num_nodes() - 1));
+  Real g = kPtranGInitial;
   for (int step = 0; step < steps; ++step) {
-    RunFail rung_fail = RunFail::kNone;
-    if (!newton_run(
-            netlist, opt,
-            {.gmin = opt.gmin, .anchor = &anchor, .g_anchor = g}, x,
-            iterations, rung_fail)) {
+    for (NodeId node = 1; node < netlist.num_nodes(); ++node) {
+      anchors[static_cast<std::size_t>(node - 1)] = {
+          node, kGround, g, x[static_cast<std::size_t>(node - 1)]};
+    }
+    if (newton_run(netlist, opt, {.gmin = opt.gmin, .companions = anchors},
+                   x, iterations) != NewtonResult::kConverged) {
       RSM_DEBUG("DC: ptran rung g=" << g << " failed");
     }
-    anchor = x;
     g *= shrink;
   }
-  return newton_run(netlist, opt, {.gmin = opt.gmin}, x, iterations, fail);
+  return newton_run(netlist, opt, {.gmin = opt.gmin}, x, iterations);
 }
 
 }  // namespace
@@ -233,33 +210,31 @@ DcSolution solve_dc(const Netlist& netlist, const DcOptions& options,
     if (sol.strategies_tried > 1) {
       RSM_DEBUG("DC: escalating to " << dc_strategy_name(strategy));
     }
-    RunFail fail = RunFail::kNone;
-    bool ok = false;
+    NewtonResult result = NewtonResult::kMaxIterations;
     switch (strategy) {
       case DcStrategy::kNewton: {
         RSM_TRACE_SPAN("dc.newton");
-        ok = run_plain_newton(netlist, options, sol.x, sol.iterations, fail);
+        result = run_plain_newton(netlist, options, sol.x, sol.iterations);
         break;
       }
       case DcStrategy::kGminStepping: {
         RSM_TRACE_SPAN("dc.gmin_stepping");
-        ok = run_gmin_stepping(netlist, options, sol.x, sol.iterations, fail);
+        result = run_gmin_stepping(netlist, options, sol.x, sol.iterations);
         break;
       }
       case DcStrategy::kSourceStepping: {
         RSM_TRACE_SPAN("dc.source_stepping");
-        ok = run_source_stepping(netlist, options, sol.x, sol.iterations,
-                                 fail);
+        result = run_source_stepping(netlist, options, sol.x, sol.iterations);
         break;
       }
       case DcStrategy::kPseudoTransient: {
         RSM_TRACE_SPAN("dc.pseudo_transient");
-        ok = run_pseudo_transient(netlist, options, sol.x, sol.iterations,
-                                  fail);
+        result =
+            run_pseudo_transient(netlist, options, sol.x, sol.iterations);
         break;
       }
     }
-    if (ok) {
+    if (result == NewtonResult::kConverged) {
       sol.converged = true;
       sol.strategy = strategy;
       obs::metrics()
@@ -268,8 +243,8 @@ DcSolution solve_dc(const Netlist& netlist, const DcOptions& options,
           .observe(static_cast<double>(sol.iterations));
       return sol;
     }
-    if (fail != RunFail::kSingular) all_singular = false;
-    if (fail == RunFail::kNonFinite) any_non_finite = true;
+    if (result != NewtonResult::kSingular) all_singular = false;
+    if (result == NewtonResult::kNonFinite) any_non_finite = true;
   }
 
   obs::metrics().counter("dc.failures").increment();

@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "spice/mna.hpp"
 #include "spice/netlist.hpp"
 #include "util/common.hpp"
 #include "util/errors.hpp"
@@ -48,8 +49,6 @@ struct DcOptions {
   int gmin_ladder_steps = 8;         // retries with decreasing gmin
   int source_ladder_steps = 10;      // source-stepping ramp points
   int ptran_steps = 30;              // pseudo-transient relaxation steps
-  Real ptran_g_initial = 1e2;        // initial node-anchor conductance [S]
-  Real ptran_g_final = 1e-9;         // anchor conductance at handoff [S]
 
   /// Escalation ladder, tried in order until one converges. Must be
   /// non-empty; campaigns shrink or reorder it per retry budget.
@@ -89,6 +88,30 @@ struct DcSolution {
 [[nodiscard]] DcSolution solve_dc(const Netlist& netlist,
                                   const DcOptions& options = {},
                                   std::span<const Real> initial_guess = {});
+
+/// How one Newton run ended.
+enum class NewtonResult { kConverged, kSingular, kNonFinite, kMaxIterations };
+
+/// The convergence aids one Newton run stamps on top of the DC system.
+struct NewtonAids {
+  Real gmin = 0;
+  Real source_scale = 1;
+  /// Stamped last: a transient point's capacitors, or the
+  /// pseudo-transient aid's node anchors.
+  std::span<const Companion> companions = {};
+};
+
+/// One damped Newton run under fixed aids: the loop under every solve_dc
+/// strategy and every transient time point. `x` holds the initial guess on
+/// entry and the last iterate on exit; `iterations_used` accumulates the
+/// iterations run. The run converges only when node-voltage and
+/// branch-current updates have both settled, and ends at once on a
+/// singular matrix or a non-finite iterate.
+[[nodiscard]] NewtonResult newton_run(const Netlist& netlist,
+                                      const DcOptions& opt,
+                                      const NewtonAids& aids,
+                                      std::vector<Real>& x,
+                                      int& iterations_used);
 
 /// Branch current of voltage source `k` in a DC solution (positive current
 /// flows into the + terminal through the source to the - terminal).

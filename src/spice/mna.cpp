@@ -1,72 +1,12 @@
 #include "spice/mna.hpp"
 
+#include <type_traits>
+
 namespace rsm::spice {
-
-RealStamp::RealStamp(Index size)
-    : n_(size), a_(static_cast<std::size_t>(size * size), Real{0}),
-      z_(static_cast<std::size_t>(size), Real{0}) {}
-
-void RealStamp::add(Index row, Index col, Real value) {
-  RSM_DCHECK(row >= 0 && row < n_ && col >= 0 && col < n_);
-  a_[static_cast<std::size_t>(row * n_ + col)] += value;
-}
-
-void RealStamp::add_rhs(Index row, Real value) {
-  RSM_DCHECK(row >= 0 && row < n_);
-  z_[static_cast<std::size_t>(row)] += value;
-}
-
-void RealStamp::conductance(NodeId a, NodeId b, Real g) {
-  const Index ia = Netlist::mna_node_index(a);
-  const Index ib = Netlist::mna_node_index(b);
-  if (ia >= 0) add(ia, ia, g);
-  if (ib >= 0) add(ib, ib, g);
-  if (ia >= 0 && ib >= 0) {
-    add(ia, ib, -g);
-    add(ib, ia, -g);
-  }
-}
-
-void RealStamp::current_into(NodeId node, Real amps) {
-  const Index i = Netlist::mna_node_index(node);
-  if (i >= 0) add_rhs(i, amps);
-}
-
-ComplexStamp::ComplexStamp(Index size)
-    : n_(size), a_(static_cast<std::size_t>(size * size)),
-      z_(static_cast<std::size_t>(size)) {}
-
-void ComplexStamp::add(Index row, Index col, C value) {
-  RSM_DCHECK(row >= 0 && row < n_ && col >= 0 && col < n_);
-  a_[static_cast<std::size_t>(row * n_ + col)] += value;
-}
-
-void ComplexStamp::add_rhs(Index row, C value) {
-  RSM_DCHECK(row >= 0 && row < n_);
-  z_[static_cast<std::size_t>(row)] += value;
-}
-
-void ComplexStamp::admittance(NodeId a, NodeId b, C y) {
-  const Index ia = Netlist::mna_node_index(a);
-  const Index ib = Netlist::mna_node_index(b);
-  if (ia >= 0) add(ia, ia, y);
-  if (ib >= 0) add(ib, ib, y);
-  if (ia >= 0 && ib >= 0) {
-    add(ia, ib, -y);
-    add(ib, ia, -y);
-  }
-}
-
-void ComplexStamp::current_into(NodeId node, C amps) {
-  const Index i = Netlist::mna_node_index(node);
-  if (i >= 0) add_rhs(i, amps);
-}
-
 namespace {
 
-/// Linearized MOSFET stamp shared by DC (companion model) use.
-/// Works in actual terminal voltages; handles PMOS by reflecting into the
-/// NMOS convention.
+/// A MOSFET linearized at one operating point. Works in actual terminal
+/// voltages; handles PMOS by reflecting into the NMOS convention.
 struct LinearizedMos {
   Real ids;  // current drain->source at the linearization point
   Real gm;   // referenced to actual (vg - vs)
@@ -87,21 +27,32 @@ LinearizedMos linearize(const Mosfet& m, Real vd, Real vg, Real vs) {
   return {-e.ids, e.gm, e.gds};
 }
 
-}  // namespace
-
-void stamp_dc(const Netlist& netlist, std::span<const Real> x, Real gmin,
-              RealStamp& stamp, Real source_scale) {
-  RSM_CHECK(static_cast<Index>(x.size()) == netlist.mna_size());
+/// The one element walk behind stamp_dc (T = Real) and stamp_ac
+/// (T = complex). Both stamp the same elements in the same order through
+/// the same add calls and differ only where DC and small-signal analysis
+/// differ: at DC capacitors are open, sources take dc * source_scale and
+/// MOSFETs add their companion current; in AC capacitors stamp jwC and
+/// sources take their AC magnitudes. `op` is the linearization point.
+template <typename T>
+void stamp_elements(const Netlist& netlist, std::span<const Real> op,
+                    Real gmin, Real source_scale, Real omega,
+                    Stamp<T>& stamp) {
+  constexpr bool kDc = std::is_same_v<T, Real>;
+  RSM_CHECK(static_cast<Index>(op.size()) == netlist.mna_size());
   RSM_CHECK(stamp.size() == netlist.mna_size());
 
   for (const Resistor& r : netlist.resistors())
-    stamp.conductance(r.a, r.b, Real{1} / r.resistance);
+    stamp.admittance(r.a, r.b, T(Real{1} / r.resistance));
 
-  // Capacitors are open circuits at DC.
+  if constexpr (!kDc) {
+    for (const Capacitor& c : netlist.capacitors())
+      stamp.admittance(c.a, c.b, T(0, omega * c.capacitance));
+  }
 
   for (const CurrentSource& i : netlist.isources()) {
-    stamp.current_into(i.a, -i.dc * source_scale);
-    stamp.current_into(i.b, i.dc * source_scale);
+    const Real amps = kDc ? i.dc * source_scale : i.ac;
+    stamp.current_into(i.a, T(-amps));
+    stamp.current_into(i.b, T(amps));
   }
 
   const auto& vsources = netlist.vsources();
@@ -111,14 +62,14 @@ void stamp_dc(const Netlist& netlist, std::span<const Real> x, Real gmin,
     const Index ia = Netlist::mna_node_index(v.a);
     const Index ib = Netlist::mna_node_index(v.b);
     if (ia >= 0) {
-      stamp.add(ia, br, Real{1});
-      stamp.add(br, ia, Real{1});
+      stamp.add(ia, br, T(1));
+      stamp.add(br, ia, T(1));
     }
     if (ib >= 0) {
-      stamp.add(ib, br, Real{-1});
-      stamp.add(br, ib, Real{-1});
+      stamp.add(ib, br, T(-1));
+      stamp.add(br, ib, T(-1));
     }
-    stamp.add_rhs(br, v.dc * source_scale);
+    stamp.add_rhs(br, T(kDc ? v.dc * source_scale : v.ac));
   }
 
   const auto& vcvs = netlist.vcvs_list();
@@ -130,15 +81,15 @@ void stamp_dc(const Netlist& netlist, std::span<const Real> x, Real gmin,
     const Index icp = Netlist::mna_node_index(e.cp);
     const Index icq = Netlist::mna_node_index(e.cq);
     if (ip >= 0) {
-      stamp.add(ip, br, Real{1});
-      stamp.add(br, ip, Real{1});
+      stamp.add(ip, br, T(1));
+      stamp.add(br, ip, T(1));
     }
     if (iq >= 0) {
-      stamp.add(iq, br, Real{-1});
-      stamp.add(br, iq, Real{-1});
+      stamp.add(iq, br, T(-1));
+      stamp.add(br, iq, T(-1));
     }
-    if (icp >= 0) stamp.add(br, icp, -e.gain);
-    if (icq >= 0) stamp.add(br, icq, e.gain);
+    if (icp >= 0) stamp.add(br, icp, T(-e.gain));
+    if (icq >= 0) stamp.add(br, icq, T(e.gain));
   }
 
   for (const Vccs& e : netlist.vccs_list()) {
@@ -146,134 +97,58 @@ void stamp_dc(const Netlist& netlist, std::span<const Real> x, Real gmin,
     const Index iq = Netlist::mna_node_index(e.q);
     const Index icp = Netlist::mna_node_index(e.cp);
     const Index icq = Netlist::mna_node_index(e.cq);
-    if (ip >= 0 && icp >= 0) stamp.add(ip, icp, e.gm);
-    if (ip >= 0 && icq >= 0) stamp.add(ip, icq, -e.gm);
-    if (iq >= 0 && icp >= 0) stamp.add(iq, icp, -e.gm);
-    if (iq >= 0 && icq >= 0) stamp.add(iq, icq, e.gm);
+    if (ip >= 0 && icp >= 0) stamp.add(ip, icp, T(e.gm));
+    if (ip >= 0 && icq >= 0) stamp.add(ip, icq, T(-e.gm));
+    if (iq >= 0 && icp >= 0) stamp.add(iq, icp, T(-e.gm));
+    if (iq >= 0 && icq >= 0) stamp.add(iq, icq, T(e.gm));
   }
 
-  // MOSFET companion models: around the estimate x, the device current is
+  // MOSFETs linearized at op: around it the device current is
   //   ids ~= Ids0 + gm*(vgs - vgs0) + gds*(vds - vds0)
-  // which stamps as a VCCS (gm), a conductance (gds) and an equivalent
-  // current source Ieq = Ids0 - gm*vgs0 - gds*vds0 from drain to source.
+  // which stamps as a VCCS (gm) and a conductance (gds); the DC companion
+  // model adds the equivalent current source Ieq = Ids0 - gm*vgs0 -
+  // gds*vds0 from drain to source.
   for (const Mosfet& m : netlist.mosfets()) {
-    const Real vd = node_voltage(x, m.d);
-    const Real vg = node_voltage(x, m.g);
-    const Real vs = node_voltage(x, m.s);
+    const Real vd = node_voltage(op, m.d);
+    const Real vg = node_voltage(op, m.g);
+    const Real vs = node_voltage(op, m.s);
     const LinearizedMos lin = linearize(m, vd, vg, vs);
 
-    stamp.conductance(m.d, m.s, lin.gds);
+    stamp.admittance(m.d, m.s, T(lin.gds));
     // VCCS gm from (g,s) controlling current d->s.
     const Index id = Netlist::mna_node_index(m.d);
     const Index is = Netlist::mna_node_index(m.s);
     const Index ig = Netlist::mna_node_index(m.g);
-    if (id >= 0 && ig >= 0) stamp.add(id, ig, lin.gm);
-    if (id >= 0 && is >= 0) stamp.add(id, is, -lin.gm);
-    if (is >= 0 && ig >= 0) stamp.add(is, ig, -lin.gm);
-    if (is >= 0 && is >= 0) stamp.add(is, is, lin.gm);
+    if (id >= 0 && ig >= 0) stamp.add(id, ig, T(lin.gm));
+    if (id >= 0 && is >= 0) stamp.add(id, is, T(-lin.gm));
+    if (is >= 0 && ig >= 0) stamp.add(is, ig, T(-lin.gm));
+    if (is >= 0) stamp.add(is, is, T(lin.gm));
 
-    const Real ieq = lin.ids - lin.gm * (vg - vs) - lin.gds * (vd - vs);
-    stamp.current_into(m.d, -ieq);
-    stamp.current_into(m.s, ieq);
+    if constexpr (kDc) {
+      const Real ieq = lin.ids - lin.gm * (vg - vs) - lin.gds * (vd - vs);
+      stamp.current_into(m.d, -ieq);
+      stamp.current_into(m.s, ieq);
+    }
   }
 
   // gmin from every node to ground.
   if (gmin > 0) {
     for (NodeId n = 1; n < netlist.num_nodes(); ++n)
-      stamp.conductance(n, kGround, gmin);
+      stamp.admittance(n, kGround, T(gmin));
   }
 }
 
+}  // namespace
+
+void stamp_dc(const Netlist& netlist, std::span<const Real> x, Real gmin,
+              Real source_scale, Stamp<Real>& stamp) {
+  stamp_elements(netlist, x, gmin, source_scale, Real{0}, stamp);
+}
+
 void stamp_ac(const Netlist& netlist, std::span<const Real> dc_solution,
-              Real omega, ComplexStamp& stamp) {
-  using C = std::complex<Real>;
-  RSM_CHECK(static_cast<Index>(dc_solution.size()) == netlist.mna_size());
-  RSM_CHECK(stamp.size() == netlist.mna_size());
-
-  for (const Resistor& r : netlist.resistors())
-    stamp.admittance(r.a, r.b, C{Real{1} / r.resistance, 0});
-
-  for (const Capacitor& c : netlist.capacitors())
-    stamp.admittance(c.a, c.b, C{0, omega * c.capacitance});
-
-  for (const CurrentSource& i : netlist.isources()) {
-    stamp.current_into(i.a, C{-i.ac, 0});
-    stamp.current_into(i.b, C{i.ac, 0});
-  }
-
-  const auto& vsources = netlist.vsources();
-  for (Index k = 0; k < static_cast<Index>(vsources.size()); ++k) {
-    const VoltageSource& v = vsources[static_cast<std::size_t>(k)];
-    const Index br = netlist.vsource_branch_index(k);
-    const Index ia = Netlist::mna_node_index(v.a);
-    const Index ib = Netlist::mna_node_index(v.b);
-    if (ia >= 0) {
-      stamp.add(ia, br, C{1, 0});
-      stamp.add(br, ia, C{1, 0});
-    }
-    if (ib >= 0) {
-      stamp.add(ib, br, C{-1, 0});
-      stamp.add(br, ib, C{-1, 0});
-    }
-    stamp.add_rhs(br, C{v.ac, 0});  // small-signal: DC value suppressed
-  }
-
-  const auto& vcvs = netlist.vcvs_list();
-  for (Index k = 0; k < static_cast<Index>(vcvs.size()); ++k) {
-    const Vcvs& e = vcvs[static_cast<std::size_t>(k)];
-    const Index br = netlist.vcvs_branch_index(k);
-    const Index ip = Netlist::mna_node_index(e.p);
-    const Index iq = Netlist::mna_node_index(e.q);
-    const Index icp = Netlist::mna_node_index(e.cp);
-    const Index icq = Netlist::mna_node_index(e.cq);
-    if (ip >= 0) {
-      stamp.add(ip, br, C{1, 0});
-      stamp.add(br, ip, C{1, 0});
-    }
-    if (iq >= 0) {
-      stamp.add(iq, br, C{-1, 0});
-      stamp.add(br, iq, C{-1, 0});
-    }
-    if (icp >= 0) stamp.add(br, icp, C{-e.gain, 0});
-    if (icq >= 0) stamp.add(br, icq, C{e.gain, 0});
-  }
-
-  for (const Vccs& e : netlist.vccs_list()) {
-    const Index ip = Netlist::mna_node_index(e.p);
-    const Index iq = Netlist::mna_node_index(e.q);
-    const Index icp = Netlist::mna_node_index(e.cp);
-    const Index icq = Netlist::mna_node_index(e.cq);
-    if (ip >= 0 && icp >= 0) stamp.add(ip, icp, C{e.gm, 0});
-    if (ip >= 0 && icq >= 0) stamp.add(ip, icq, C{-e.gm, 0});
-    if (iq >= 0 && icp >= 0) stamp.add(iq, icp, C{-e.gm, 0});
-    if (iq >= 0 && icq >= 0) stamp.add(iq, icq, C{e.gm, 0});
-  }
-
-  // MOSFETs linearized at the DC operating point contribute gm + gds.
-  for (const Mosfet& m : netlist.mosfets()) {
-    const Real vd = node_voltage(dc_solution, m.d);
-    const Real vg = node_voltage(dc_solution, m.g);
-    const Real vs = node_voltage(dc_solution, m.s);
-    MosfetEval e;
-    if (m.params.type == MosType::kNmos) {
-      e = evaluate_nmos_convention(m.params, vg - vs, vd - vs);
-    } else {
-      e = evaluate_nmos_convention(m.params, vs - vg, vs - vd);
-    }
-
-    stamp.admittance(m.d, m.s, C{e.gds, 0});
-    const Index id = Netlist::mna_node_index(m.d);
-    const Index is = Netlist::mna_node_index(m.s);
-    const Index ig = Netlist::mna_node_index(m.g);
-    if (id >= 0 && ig >= 0) stamp.add(id, ig, C{e.gm, 0});
-    if (id >= 0 && is >= 0) stamp.add(id, is, C{-e.gm, 0});
-    if (is >= 0 && ig >= 0) stamp.add(is, ig, C{-e.gm, 0});
-    if (is >= 0) stamp.add(is, is, C{e.gm, 0});
-  }
-
-  // Tiny gmin keeps floating AC nodes solvable.
-  for (NodeId n = 1; n < netlist.num_nodes(); ++n)
-    stamp.admittance(n, kGround, C{1e-12, 0});
+              Real omega, Stamp<std::complex<Real>>& stamp) {
+  // A tiny gmin keeps floating AC nodes solvable.
+  stamp_elements(netlist, dc_solution, Real{1e-12}, Real{1}, omega, stamp);
 }
 
 }  // namespace rsm::spice

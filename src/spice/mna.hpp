@@ -1,8 +1,9 @@
 // Modified nodal analysis stamping.
 //
 // Unknown ordering: node voltages 1..n-1 first (ground eliminated), then one
-// branch current per voltage source, then one per VCVS. Real stamps serve
-// the DC Newton loop; complex stamps (G + jwC) serve AC analysis.
+// branch current per voltage source, then one per VCVS. One element walk
+// stamps both analyses: real stamps serve the DC Newton loop (and with it
+// every transient time point); complex stamps (G + jwC) serve AC analysis.
 #pragma once
 
 #include <complex>
@@ -14,65 +15,83 @@
 
 namespace rsm::spice {
 
-/// Dense real MNA system A x = z under construction.
-class RealStamp {
+/// Dense MNA system A x = z under construction, over Real (DC) or
+/// std::complex<Real> (AC). Header-only because it is a template.
+template <typename T>
+class Stamp {
  public:
-  explicit RealStamp(Index size);
+  explicit Stamp(Index size)
+      : n_(size), a_(static_cast<std::size_t>(size * size)),
+        z_(static_cast<std::size_t>(size)) {}
 
-  void conductance(NodeId a, NodeId b, Real g);
-  void current_into(NodeId node, Real amps);
+  /// Admittance y between nodes a and b (a conductance at DC).
+  void admittance(NodeId a, NodeId b, T y) {
+    const Index ia = Netlist::mna_node_index(a);
+    const Index ib = Netlist::mna_node_index(b);
+    if (ia >= 0) add(ia, ia, y);
+    if (ib >= 0) add(ib, ib, y);
+    if (ia >= 0 && ib >= 0) {
+      add(ia, ib, -y);
+      add(ib, ia, -y);
+    }
+  }
+
+  void current_into(NodeId node, T amps) {
+    const Index i = Netlist::mna_node_index(node);
+    if (i >= 0) add_rhs(i, amps);
+  }
 
   /// Raw access for branch rows (voltage sources / VCVS).
-  void add(Index row, Index col, Real value);
-  void add_rhs(Index row, Real value);
+  void add(Index row, Index col, T value) {
+    RSM_DCHECK(row >= 0 && row < n_ && col >= 0 && col < n_);
+    a_[static_cast<std::size_t>(row * n_ + col)] += value;
+  }
+  void add_rhs(Index row, T value) {
+    RSM_DCHECK(row >= 0 && row < n_);
+    z_[static_cast<std::size_t>(row)] += value;
+  }
 
   [[nodiscard]] Index size() const { return n_; }
-  [[nodiscard]] std::vector<Real>& matrix() { return a_; }
-  [[nodiscard]] std::vector<Real>& rhs() { return z_; }
+  [[nodiscard]] std::vector<T>& matrix() { return a_; }
+  [[nodiscard]] std::vector<T>& rhs() { return z_; }
 
  private:
   Index n_;
-  std::vector<Real> a_;  // row-major n x n
-  std::vector<Real> z_;
+  std::vector<T> a_;  // row-major n x n
+  std::vector<T> z_;
 };
 
-/// Dense complex MNA system for AC analysis.
-class ComplexStamp {
- public:
-  using C = std::complex<Real>;
+/// Backward-Euler companion of a capacitor over one step h: conductance
+/// g = C/h between a and b in parallel with the history current g * v_prev
+/// into a, where v_prev is V(a) - V(b) at the previous point. Transient
+/// analysis replaces every capacitor by one; the pseudo-transient DC aid
+/// ties every node to ground through one.
+struct Companion {
+  NodeId a = kGround, b = kGround;
+  Real g = 0;
+  Real v_prev = 0;
 
-  explicit ComplexStamp(Index size);
-
-  void admittance(NodeId a, NodeId b, C y);
-  void current_into(NodeId node, C amps);
-  void add(Index row, Index col, C value);
-  void add_rhs(Index row, C value);
-
-  [[nodiscard]] Index size() const { return n_; }
-  [[nodiscard]] std::vector<C>& matrix() { return a_; }
-  [[nodiscard]] std::vector<C>& rhs() { return z_; }
-
- private:
-  Index n_;
-  std::vector<C> a_;
-  std::vector<C> z_;
+  void stamp(Stamp<Real>& stamp) const {
+    stamp.admittance(a, b, g);
+    stamp.current_into(a, g * v_prev);
+    stamp.current_into(b, -g * v_prev);
+  }
 };
 
-/// Stamps every linear element of `netlist` into a real DC system
-/// (capacitors are open at DC) around the solution estimate `x` and adds the
-/// companion models of all MOSFETs linearized at `x`. `gmin` is a
-/// conductance tied from every node to ground for convergence aid.
-/// `source_scale` multiplies every independent source value — the source
-/// stepping homotopy ramps it 0 -> 1 (at 0 the only DC solution is the
-/// all-off state, which Newton finds trivially).
+/// Stamps every element of `netlist` into a real DC system (capacitors are
+/// open at DC) and adds the companion models of all MOSFETs linearized at
+/// the estimate `x`. `gmin` is a conductance tied from every node to ground
+/// for convergence aid. `source_scale` multiplies every independent source
+/// value — the source stepping homotopy ramps it 0 -> 1 (at 0 the only DC
+/// solution is the all-off state, which Newton finds trivially).
 void stamp_dc(const Netlist& netlist, std::span<const Real> x, Real gmin,
-              RealStamp& stamp, Real source_scale = Real{1});
+              Real source_scale, Stamp<Real>& stamp);
 
 /// Stamps the small-signal system at angular frequency `omega`, linearizing
 /// MOSFETs at the DC solution `dc_solution`. Independent sources contribute
 /// their AC magnitudes (DC values are zeroed in small-signal analysis).
 void stamp_ac(const Netlist& netlist, std::span<const Real> dc_solution,
-              Real omega, ComplexStamp& stamp);
+              Real omega, Stamp<std::complex<Real>>& stamp);
 
 /// Voltage of `node` in an MNA solution vector (0 for ground).
 template <typename T>

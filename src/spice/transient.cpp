@@ -1,64 +1,10 @@
 #include "spice/transient.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "linalg/lu.hpp"
+#include "spice/dc.hpp"
 #include "spice/mna.hpp"
 #include "util/cancellation.hpp"
 
 namespace rsm::spice {
-namespace {
-
-/// One backward-Euler Newton solve at a fixed time point.
-/// x holds the initial guess on entry and the solution on exit.
-bool newton_step(const Netlist& netlist, const DcOptions& opt, Real h,
-                 std::span<const Real> x_prev, std::vector<Real>& x) {
-  const Index n = netlist.mna_size();
-  for (int it = 0; it < opt.max_iterations; ++it) {
-    RealStamp stamp(n);
-    stamp_dc(netlist, x, opt.gmin, stamp);
-
-    // Capacitor companions: G = C/h between the terminals, plus history
-    // current I = (C/h) * v_prev flowing as a source.
-    for (const Capacitor& c : netlist.capacitors()) {
-      const Real g = c.capacitance / h;
-      stamp.conductance(c.a, c.b, g);
-      const Real v_prev = node_voltage(x_prev, c.a) - node_voltage(x_prev, c.b);
-      // i = g (v - v_prev): the -g*v_prev part goes to the RHS as an
-      // injection a -> b.
-      stamp.current_into(c.a, g * v_prev);
-      stamp.current_into(c.b, -g * v_prev);
-    }
-
-    std::vector<Real> x_new;
-    try {
-      LuFactorization<Real> lu(std::move(stamp.matrix()), n);
-      x_new = lu.solve(stamp.rhs());
-    } catch (const Error&) {
-      return false;
-    }
-
-    Real max_dv = 0;
-    const Index num_voltage_unknowns = netlist.num_nodes() - 1;
-    for (Index i = 0; i < n; ++i) {
-      Real dv = x_new[static_cast<std::size_t>(i)] -
-                x[static_cast<std::size_t>(i)];
-      if (i < num_voltage_unknowns) {
-        dv = std::clamp(dv, -opt.max_step, opt.max_step);
-        max_dv = std::max(max_dv, std::abs(dv));
-      }
-      x[static_cast<std::size_t>(i)] += dv;
-    }
-    Real max_abs_x = 0;
-    for (Real v : x) max_abs_x = std::max(max_abs_x, std::abs(v));
-    if (max_dv < opt.voltage_tolerance + opt.relative_tolerance * max_abs_x)
-      return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 std::vector<Real> TransientResult::node_waveform(NodeId node) const {
   std::vector<Real> out;
@@ -72,6 +18,7 @@ TransientResult run_transient(Netlist& netlist,
   RSM_CHECK(options.timestep > 0 && options.stop_time > options.timestep);
   const Index n = netlist.mna_size();
   RSM_CHECK(n > 0);
+  const DcOptions newton;  // every time point runs DC's default Newton
 
   TransientResult result;
   const auto num_steps =
@@ -82,14 +29,20 @@ TransientResult run_transient(Netlist& netlist,
   if (options.update_sources) options.update_sources(0, netlist);
   std::vector<Real> x;
   if (options.start_from_dc) {
-    x = solve_dc(netlist, options.newton).x;
+    x = solve_dc(netlist, newton).x;
   } else {
     x.assign(static_cast<std::size_t>(n), Real{0});
   }
   result.time.push_back(0);
   result.states.push_back(x);
 
-  std::vector<Real> x_prev = x;
+  std::vector<Companion> companions(netlist.capacitors().size());
+  int iterations = 0;
+  const auto solve_point = [&] {
+    return newton_run(netlist, newton,
+                      {.gmin = newton.gmin, .companions = companions}, x,
+                      iterations) == NewtonResult::kConverged;
+  };
   Real t = 0;
   while (t < options.stop_time) {
     // Transient runs are the longest single-sample computations in the
@@ -97,18 +50,22 @@ TransientResult run_transient(Netlist& netlist,
     check_cooperative_stop("spice.transient");
     t += options.timestep;
     if (options.update_sources) options.update_sources(t, netlist);
-    // Warm start from the previous point; x_prev feeds the companions.
-    if (!newton_step(netlist, options.newton, options.timestep, x_prev, x)) {
+    // Every capacitor becomes its companion around the previous point.
+    const std::span<const Real> x_prev = result.states.back();
+    for (std::size_t k = 0; k < companions.size(); ++k) {
+      const Capacitor& c = netlist.capacitors()[k];
+      companions[k] = {c.a, c.b, c.capacitance / options.timestep,
+                       node_voltage(x_prev, c.a) - node_voltage(x_prev, c.b)};
+    }
+    // Warm start from the previous point.
+    if (!solve_point()) {
       // One retry from the previous solution with a fresh copy (the damped
       // iterate may have wandered); then give up loudly.
-      x = x_prev;
-      RSM_CHECK_MSG(
-          newton_step(netlist, options.newton, options.timestep, x_prev, x),
-          "transient Newton failed at t=" << t);
+      x.assign(x_prev.begin(), x_prev.end());
+      RSM_CHECK_MSG(solve_point(), "transient Newton failed at t=" << t);
     }
     result.time.push_back(t);
     result.states.push_back(x);
-    x_prev = x;
   }
   return result;
 }

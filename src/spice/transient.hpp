@@ -1,18 +1,18 @@
 // Transient analysis: fixed-step backward Euler on the MNA system.
 //
 // Capacitors become conductance companions G = C/h with history current
-// I_eq = (C/h) * v(t-h); the nonlinear devices are handled by the same
-// Newton iteration as the DC solver at every time point, warm-started from
-// the previous point. Backward Euler is L-stable — the right default for
-// the stiff RC + square-law networks here — at the cost of first-order
-// accuracy (halve `timestep` to check convergence).
+// I_eq = (C/h) * v(t-h); every time point is one run of the DC solver's
+// Newton loop (spice::newton_run) with those companions, warm-started from
+// the previous point and held to the same convergence test. Backward Euler
+// is L-stable — the right default for the stiff RC + square-law networks
+// here — at the cost of first-order accuracy (halve `timestep` to check
+// convergence).
 #pragma once
 
 #include <functional>
 #include <span>
 #include <vector>
 
-#include "spice/dc.hpp"
 #include "spice/netlist.hpp"
 #include "util/common.hpp"
 
@@ -21,7 +21,6 @@ namespace rsm::spice {
 struct TransientOptions {
   Real timestep = 1e-12;      // integration step h [s]
   Real stop_time = 1e-9;      // simulate t in [0, stop_time]
-  DcOptions newton;           // per-step Newton controls
 
   /// Called before each step with the current time; mutate source values
   /// (e.g. netlist.vsource(id).dc = pulse(t)) to drive stimuli.

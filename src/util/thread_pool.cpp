@@ -54,8 +54,11 @@ class FanOut {
   FanOut(std::size_t count, const std::function<void(std::size_t)>& body)
       : count_(count), body_(&body), controls_(current_run_controls()) {}
 
-  /// Claims and runs parts until none is left, then counts them done.
-  void drain() {
+  /// Claims and runs parts until none is left, then counts them done. A
+  /// helper passes its worker's `running` flag, cleared before the count:
+  /// a caller that sees every part done sees that worker idle too, so a
+  /// fan-out right after this one queues a helper for it again.
+  void drain(std::atomic<bool>* running = nullptr) {
     std::size_t ran = 0;
     std::exception_ptr error;
     for (;;) {
@@ -71,6 +74,7 @@ class FanOut {
         failed_.store(true, std::memory_order_relaxed);
       }
     }
+    if (running != nullptr) running->store(false, std::memory_order_relaxed);
     if (ran == 0) return;
     MutexLock lock(mutex_);
     if (error && !error_) error_ = error;
@@ -241,13 +245,24 @@ void ThreadPool::parallel_for(std::size_t count,
   if (count == 0) return;
   const auto fan_out = std::make_shared<FanOut>(count, body);
   // One helper per part the caller will not run itself, at most one per
-  // worker. Full queues mean busy workers: the caller runs those parts
+  // worker that is not running a task: a busy worker would reach its
+  // helper only after its own task, when the caller has usually run every
+  // part. Full queues mean busy workers too: the caller runs those parts
   // rather than wait for space.
-  const std::size_t helpers =
-      std::min(count - 1, static_cast<std::size_t>(num_workers()));
+  std::size_t idle = 0;
+  for (const auto& worker : workers_) {
+    if (!worker->retired.load(std::memory_order_relaxed) &&
+        !worker->running.load(std::memory_order_relaxed)) {
+      ++idle;
+    }
+  }
+  const std::size_t helpers = std::min(count - 1, idle);
   try {
     for (std::size_t h = 0; h < helpers; ++h) {
-      Task helper = [fan_out] { fan_out->drain(); };
+      Task helper = [this, fan_out] {
+        fan_out->drain(
+            &workers_[static_cast<std::size_t>(t_worker)]->running);
+      };
       if (!try_submit(helper)) break;
     }
   } catch (...) {
@@ -336,6 +351,7 @@ void ThreadPool::worker_loop(int index) {
       }
       const auto start = std::chrono::steady_clock::now();
       add_seconds(self.idle_seconds, start - mark);
+      self.running.store(true, std::memory_order_relaxed);
       try {
         task();
       } catch (...) {
@@ -346,6 +362,7 @@ void ThreadPool::worker_loop(int index) {
         RSM_WARN("thread_pool: task on worker " << index
                                                 << " threw; swallowed");
       }
+      self.running.store(false, std::memory_order_relaxed);
       mark = std::chrono::steady_clock::now();
       add_seconds(self.busy_seconds, mark - start);
       executed_.fetch_add(1, std::memory_order_relaxed);

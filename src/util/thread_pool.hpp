@@ -103,15 +103,16 @@ class ThreadPool {
   void wait_idle();
 
   /// Runs body(0), ..., body(count - 1), each exactly once, on the calling
-  /// thread and on up to num_workers() workers, and returns when all have
-  /// finished. The caller claims parts from the same counter as the
-  /// workers and waits only for parts a worker has already claimed, so the
-  /// call completes even when every worker is busy, including when it is
-  /// made from inside a task of this pool. Every part runs under the
-  /// caller's ambient stop controls (util/cancellation.hpp), whichever
-  /// thread runs it. After the first exception a part throws, unclaimed
-  /// parts are skipped and that exception is rethrown here once every
-  /// claimed part has finished.
+  /// thread and on pool workers, and returns when all have finished. It
+  /// queues at most one helper per worker that is not running a task, so a
+  /// call made while every worker is busy queues none. The caller claims
+  /// parts from the same counter as the workers and waits only for parts a
+  /// worker has already claimed, so the call completes even when every
+  /// worker is busy, including when it is made from inside a task of this
+  /// pool. Every part runs under the caller's ambient stop controls
+  /// (util/cancellation.hpp), whichever thread runs it. After the first
+  /// exception a part throws, unclaimed parts are skipped and that
+  /// exception is rethrown here once every claimed part has finished.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
@@ -145,6 +146,7 @@ class ThreadPool {
     Mutex mutex{"pool.queue", lock_rank::kPoolQueue};
     std::deque<Task> queue RSM_GUARDED_BY(mutex);
     std::atomic<bool> retired{false};
+    std::atomic<bool> running{false};  // inside task()
 
     // Telemetry. executed/stolen use relaxed fetch_add; the second pair is
     // single-writer (only the owning worker stores) so plain load+store.

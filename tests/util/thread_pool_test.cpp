@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -357,6 +358,39 @@ TEST_P(ParallelForTest, CallsFromInsideEveryBusyWorkerComplete) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, ParallelForTest,
                          ::testing::Values(1, 2, 3, 7));
+
+// A fan-out from inside a task while both other workers are blocked in
+// tasks of their own: no worker could start a helper before the caller has
+// run every part, so none is queued.
+TEST(ThreadPoolTest, ParallelForQueuesNoHelperWhenEveryWorkerIsBusy) {
+  ThreadPool::Options options;
+  options.num_threads = 3;
+  ThreadPool pool(options);
+  constexpr std::size_t kParts = 16;
+  std::atomic<int> blocked{0};
+  std::atomic<bool> release{false};
+  for (int b = 0; b < 2; ++b) {
+    pool.submit([&] {
+      blocked++;
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  std::vector<std::atomic<int>> hits(kParts);
+  std::uint64_t submitted_before = 0;
+  std::uint64_t submitted_after = 0;
+  pool.submit([&] {
+    while (blocked.load() < 2) std::this_thread::yield();
+    submitted_before = pool.stats().submitted;
+    pool.parallel_for(kParts, [&hits](std::size_t i) { hits[i]++; });
+    submitted_after = pool.stats().submitted;
+    release = true;
+  });
+  pool.wait_idle();
+  EXPECT_EQ(submitted_before, 3u);
+  EXPECT_EQ(submitted_after, submitted_before);
+  for (std::size_t i = 0; i < kParts; ++i)
+    EXPECT_EQ(hits[i].load(), 1) << "part " << i;
+}
 
 TEST(ThreadPoolTest, ParallelForRethrowsAfterClaimedPartsFinish) {
   ThreadPool::Options options;
