@@ -106,9 +106,8 @@ int main(int argc, char** argv) {
   CampaignOptions faulted_opt;
   faulted_opt.cancel = cancel_source.token();
   faulted_opt.max_attempts = 3;
-  faulted_opt.fault_injector =
-      FaultInjector({.fault_rate = fault_rate, .persistent_fraction = 0.5,
-                     .seed = 99});
+  faulted_opt.fault_injector = FaultSchedule<FaultKind>(
+      {.fault_rate = fault_rate, .persistent_fraction = 0.5, .seed = 99});
   const auto t2 = Clock::now();
   const CampaignResult faulted = run_campaign(samples, evaluate, faulted_opt);
   const double with_faults = seconds_since(t2);

@@ -119,9 +119,8 @@ int main(int argc, char** argv) {
     options.min_success_fraction = 0.5;
     options.checkpoint.path = checkpoint_path;
     if (fault_rate > 0) {
-      options.fault_injector = FaultInjector({.fault_rate = fault_rate,
-                                              .persistent_fraction = 0.25,
-                                              .seed = 42});
+      options.fault_injector = FaultSchedule<FaultKind>(
+          {.fault_rate = fault_rate, .persistent_fraction = 0.25, .seed = 42});
     }
 
     WallTimer timer;

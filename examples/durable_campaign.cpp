@@ -139,13 +139,13 @@ int main(int argc, char** argv) {
   options.progress_interval_seconds = args.get_double("progress-interval");
   const double fault_rate = args.get_double("fault-rate");
   if (fault_rate > 0) {
-    options.fault_injector = FaultInjector(
+    options.fault_injector = FaultSchedule<FaultKind>(
         {.fault_rate = fault_rate, .persistent_fraction = 0.5, .seed = 1234});
   }
   const double fs_fault_rate = args.get_double("fs-fault-rate");
   if (fs_fault_rate > 0) {
     options.checkpoint.fs_faults =
-        FsFaultInjector({.fault_rate = fs_fault_rate, .seed = 99});
+        FaultSchedule<FsFaultKind>({.fault_rate = fs_fault_rate, .seed = 99});
   }
 
   CampaignResult result;

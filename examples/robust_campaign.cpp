@@ -63,7 +63,7 @@ int main() {
   opt.cancel = cancel_source.token();
   opt.max_attempts = 3;
   opt.min_success_fraction = 0.8;
-  opt.fault_injector = FaultInjector(
+  opt.fault_injector = FaultSchedule<FaultKind>(
       {.fault_rate = 0.08, .persistent_fraction = 0.5, .seed = 1234});
   const CampaignResult faulted = run_campaign(samples, evaluate, opt);
   std::printf("faulted run:\n%s\n\n", faulted.report.summary().c_str());

@@ -192,8 +192,6 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
   RSM_CHECK_MSG(samples.rows() > 0, "campaign needs at least one sample");
   RSM_CHECK_MSG(options.max_attempts >= 1,
                 "campaign needs a positive attempt budget");
-  RSM_CHECK_MSG(options.worker_quarantine_threshold >= 1,
-                "worker quarantine threshold must be positive");
   RSM_CHECK(static_cast<bool>(evaluate));
 
   const Index num_samples = samples.rows();
@@ -319,7 +317,6 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
       std::unique_ptr<io::CheckpointWriter> writer;
       bool failed = false;  // this worker's durability is gone
       Index rows = 0;       // rows this worker completed
-      Index infra_faults = 0;
     };
     std::vector<Shard> shards(static_cast<std::size_t>(workers));
     std::vector<std::atomic<bool>> infra_fired(
@@ -340,24 +337,20 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
         const int w = pool.current_worker_index();
         RSM_CHECK(w >= 0 && w < workers);
         Shard& shard = shards[static_cast<std::size_t>(w)];
-        if (options.worker_faults.should_fault(k) &&
+        const auto row = static_cast<std::uint64_t>(k);
+        if (options.worker_faults.kind(row) != WorkerFaultKind::kNone &&
             !infra_fired[static_cast<std::size_t>(k)].exchange(true)) {
-          // Infrastructure death, not a sample failure: charge the worker
-          // that happened to claim the row, requeue the row (its outcome is
+          // Infrastructure death, not a sample failure: retire the worker
+          // that happened to claim the row (never the last one, so the
+          // queue always drains), requeue the row (its outcome is
           // unaffected), and let the pool's exception backstop absorb the
-          // corpse. Workers that absorb too many are retired — never the
-          // last one, so the queue always drains.
+          // corpse.
           infra_failures.fetch_add(1, std::memory_order_relaxed);
-          ++shard.infra_faults;
           obs::metrics().counter("campaign.worker.infra_faults").increment();
-          if (shard.infra_faults >=
-                  static_cast<Index>(options.worker_quarantine_threshold) &&
-              pool.retire_current_worker()) {
+          if (pool.retire_current_worker()) {
             workers_quarantined.fetch_add(1, std::memory_order_relaxed);
             obs::metrics().counter("campaign.worker.quarantined").increment();
-            RSM_WARN("campaign: worker " << w << " retired after "
-                                         << shard.infra_faults
-                                         << " infrastructure fault(s)");
+            RSM_WARN("campaign: retired worker " << w << " (infrastructure)");
           }
           pool.submit([&run_one, k] { run_one(k); });
           throw Error("injected worker infrastructure fault");

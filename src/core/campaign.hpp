@@ -52,14 +52,14 @@
 // SIGKILL leaves base + shards behind; resume_campaign merges them
 // (salvaging damaged shards per io/checkpoint.hpp) and re-evaluates only
 // the lost rows.
-// Worker-level infrastructure faults (WorkerFaultInjector) requeue the
-// row, are charged to the executing worker, and retire workers that absorb
-// too many — the pool degrades gracefully to fewer workers, never past the
-// last one.
+// Worker-level infrastructure faults (FaultSchedule<WorkerFaultKind>)
+// requeue the row and retire the worker that absorbed the fault — the pool
+// degrades gracefully to fewer workers, never past the last one.
 //
-// A deterministic FaultInjector (util/fault_injection.hpp) can be planted
+// Deterministic fault schedules (util/fault_injection.hpp) can be planted
 // in the options to force singular solves / Newton stalls at hash-chosen
-// sample indices — and an FsFaultInjector under the checkpoint writers —
+// sample indices (FaultSchedule<FaultKind>) — and torn, short and ENOSPC
+// writes under the checkpoint writers (FaultSchedule<FsFaultKind>) —
 // making every recovery path testable end-to-end in CI.
 #pragma once
 
@@ -98,7 +98,7 @@ struct CampaignOptions {
   Real min_success_fraction = 0.9;
 
   /// Deterministic fault injection (default-constructed = disabled).
-  FaultInjector fault_injector;
+  FaultSchedule<FaultKind> fault_injector;
 
   /// Durable per-row checkpointing (disabled while `path` is empty).
   io::CheckpointOptions checkpoint;
@@ -124,14 +124,11 @@ struct CampaignOptions {
   int num_workers = 0;
 
   /// Worker-level infrastructure fault injection (default-constructed =
-  /// disabled). Also excluded from the config hash: infrastructure faults
+  /// disabled). A worker that absorbs an injected fault is retired
+  /// (graceful degradation); the pool never retires its last active
+  /// worker. Also excluded from the config hash: infrastructure faults
   /// never change row outcomes.
-  WorkerFaultInjector worker_faults;
-
-  /// A worker that absorbs this many injected infrastructure faults is
-  /// retired (graceful degradation); the pool never retires its last
-  /// active worker.
-  int worker_quarantine_threshold = 1;
+  FaultSchedule<WorkerFaultKind> worker_faults;
 
   /// Live progress heartbeats: while non-empty, JSONL events
   /// (obs/progress.hpp) are appended to this path roughly every

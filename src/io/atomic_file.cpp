@@ -40,7 +40,7 @@ void write_all(int fd, const char* data, std::size_t size,
 /// Applies the injected fault for this op, if any: persists the fault
 /// mode's prefix, then throws IoError. No-op for clean ops.
 void apply_injected_fault(int fd, std::string_view data, std::uint64_t op,
-                          const FsFaultInjector* faults,
+                          const FaultSchedule<FsFaultKind>* faults,
                           const std::string& path) {
   if (faults == nullptr || !faults->enabled()) return;
   const FsFaultKind kind = faults->kind(op);
@@ -57,7 +57,7 @@ void apply_injected_fault(int fd, std::string_view data, std::uint64_t op,
   }
   write_all(fd, data.data(), persisted, path);
   std::ostringstream os;
-  os << "injected " << fs_fault_kind_name(kind) << " on '" << path << "' ("
+  os << "injected " << fault_kind_name(kind) << " on '" << path << "' ("
      << persisted << '/' << data.size() << " bytes persisted, op " << op
      << ')';
   throw IoError(os.str(), "fault-injection");
@@ -66,8 +66,9 @@ void apply_injected_fault(int fd, std::string_view data, std::uint64_t op,
 }  // namespace
 
 DurableFile::DurableFile(std::string path, Mode mode,
-                         const FsFaultInjector* faults)
-    : path_(std::move(path)), faults_(faults) {
+                         const FaultSchedule<FsFaultKind>* faults,
+                         std::uint64_t first_op)
+    : path_(std::move(path)), faults_(faults), write_ops_(first_op) {
   const int flags = O_WRONLY | O_CREAT | O_CLOEXEC |
                     (mode == Mode::kTruncate ? O_TRUNC : O_APPEND);
   fd_ = ::open(path_.c_str(), flags, 0644);
@@ -98,7 +99,7 @@ void DurableFile::close() {
 }
 
 void atomic_write_file(const std::string& path, std::string_view data,
-                       const FsFaultInjector* faults) {
+                       const FaultSchedule<FsFaultKind>* faults) {
   const std::string temp = path + ".tmp";
   try {
     DurableFile file(temp, DurableFile::Mode::kTruncate, faults);

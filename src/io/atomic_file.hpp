@@ -5,9 +5,12 @@
 //
 //   * DurableFile — an append-oriented fd wrapper whose write() loops over
 //     partial writes, whose sync() runs fsync, and whose every physical
-//     write first consults an optional FsFaultInjector, so torn writes,
-//     short writes, and ENOSPC are reproducible in CI without filling a
-//     disk;
+//     write first consults an optional FaultSchedule<FsFaultKind>, so torn
+//     writes, short writes, and ENOSPC are reproducible in CI without
+//     filling a disk. A file numbers its writes from the first op index it
+//     is opened with: 0 by default, so the single write of an
+//     atomic_write_file is always op 0, while a reopened log passes the
+//     index where its predecessor stopped and continues the schedule;
 //   * atomic_write_file — the classic write-temp -> fsync -> rename(2)
 //     sequence (plus a directory fsync so the rename itself is durable):
 //     readers observe either the old content or the complete new content,
@@ -37,10 +40,12 @@ class DurableFile {
     kAppend,    // create if missing, append at end
   };
 
-  /// Opens `path`; throws IoError on failure. The injector pointer may be
-  /// null (no faults) and must outlive the file.
+  /// Opens `path`; throws IoError on failure. The schedule pointer may be
+  /// null (no faults) and must outlive the file; the first physical write
+  /// is op `first_op` of that schedule.
   DurableFile(std::string path, Mode mode,
-              const FsFaultInjector* faults = nullptr);
+              const FaultSchedule<FsFaultKind>* faults = nullptr,
+              std::uint64_t first_op = 0);
   ~DurableFile();
   DurableFile(const DurableFile&) = delete;
   DurableFile& operator=(const DurableFile&) = delete;
@@ -60,14 +65,14 @@ class DurableFile {
 
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// Physical write operations issued so far (the fault injector's op
-  /// index space).
+  /// The fs fault schedule's op index of the next physical write: the
+  /// first op index plus the writes issued so far.
   [[nodiscard]] std::uint64_t write_ops() const { return write_ops_; }
 
  private:
   std::string path_;
   int fd_ = -1;
-  const FsFaultInjector* faults_ = nullptr;
+  const FaultSchedule<FsFaultKind>* faults_ = nullptr;
   std::uint64_t write_ops_ = 0;
 };
 
@@ -76,7 +81,7 @@ class DurableFile {
 /// the temp file is removed and IoError is thrown; `path` is never left
 /// half-written.
 void atomic_write_file(const std::string& path, std::string_view data,
-                       const FsFaultInjector* faults = nullptr);
+                       const FaultSchedule<FsFaultKind>* faults = nullptr);
 
 /// Reads a whole file into a string; throws IoError when missing/unreadable.
 [[nodiscard]] std::string read_file_bytes(const std::string& path);

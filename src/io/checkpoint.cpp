@@ -393,10 +393,12 @@ void CheckpointWriter::rewrite_and_reopen() {
   std::string full = serialize_header(header_);
   for (const CheckpointRecord& record : mirror_)
     full.append(serialize_record(record));
+  if (file_ != nullptr) next_append_op_ = file_->write_ops();
   file_.reset();
   atomic_write_file(options_.path, full, &options_.fs_faults);
-  file_ = std::make_unique<DurableFile>(
-      options_.path, DurableFile::Mode::kAppend, &options_.fs_faults);
+  file_ = std::make_unique<DurableFile>(options_.path,
+                                        DurableFile::Mode::kAppend,
+                                        &options_.fs_faults, next_append_op_);
   unsynced_ = 0;
   ++rewrites_;
 }
@@ -439,9 +441,9 @@ std::uint64_t matrix_fingerprint(const Matrix& m) {
                  static_cast<std::size_t>(m.size()) * sizeof(Real), hash);
 }
 
-std::uint64_t fault_plan_fingerprint(const FaultInjector& injector,
+std::uint64_t fault_plan_fingerprint(const FaultSchedule<FaultKind>& plan,
                                      int max_attempts) {
-  const FaultInjector::Options& o = injector.options();
+  const FaultSchedule<FaultKind>::Options& o = plan.options();
   std::uint64_t hash = fnv1a64(&max_attempts, sizeof(max_attempts));
   hash = fnv1a64(&o.fault_rate, sizeof(o.fault_rate), hash);
   hash = fnv1a64(&o.persistent_fraction, sizeof(o.persistent_fraction), hash);

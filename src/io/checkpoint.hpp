@@ -174,7 +174,7 @@ struct CheckpointOptions {
 
   /// Deterministic filesystem fault injection planted under the writers
   /// (default-constructed = disabled).
-  FsFaultInjector fs_faults;
+  FaultSchedule<FsFaultKind> fs_faults;
 
   [[nodiscard]] bool enabled() const { return !path.empty(); }
 };
@@ -185,6 +185,9 @@ struct CheckpointOptions {
 /// from the mirror and reopens for append — one recovery attempt per append;
 /// if the rewrite also fails, the IoError propagates and the caller decides
 /// (the campaign layer then disables checkpointing rather than abort).
+/// Under `fs_faults`, every atomic rewrite is op 0 of its own temp file,
+/// while the appends walk one op index sequence across reopens: append i
+/// is op i, so each faulted op up to the last append is met once.
 class CheckpointWriter {
  public:
   /// Creates (or atomically replaces) `options.path` holding `header` plus
@@ -212,6 +215,7 @@ class CheckpointWriter {
   CheckpointHeader header_;
   std::vector<CheckpointRecord> mirror_;
   std::unique_ptr<class DurableFile> file_;
+  std::uint64_t next_append_op_ = 0;  // fs schedule index of the next append
   int unsynced_ = 0;
   Index records_appended_ = 0;
   Index flushes_ = 0;
@@ -221,7 +225,7 @@ class CheckpointWriter {
 /// Fingerprints for the header's binding hashes.
 [[nodiscard]] std::uint64_t matrix_fingerprint(const Matrix& m);
 [[nodiscard]] std::uint64_t fault_plan_fingerprint(
-    const FaultInjector& injector, int max_attempts);
+    const FaultSchedule<FaultKind>& plan, int max_attempts);
 
 /// Serialization used by the writer (exposed for tests that hand-craft
 /// corrupt files).

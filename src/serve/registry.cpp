@@ -61,7 +61,8 @@ bool parse_entry_filename(const std::string& filename, std::string& name,
 
 }  // namespace
 
-ModelRegistry::ModelRegistry(std::string root, const FsFaultInjector* faults)
+ModelRegistry::ModelRegistry(std::string root,
+                             const FaultSchedule<FsFaultKind>* faults)
     : root_(std::move(root)), faults_(faults) {
   RSM_CHECK_MSG(!root_.empty(), "registry root must be non-empty");
   std::error_code ec;

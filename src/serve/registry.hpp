@@ -37,11 +37,11 @@ struct ModelRecord {
 
 class ModelRegistry {
  public:
-  /// Opens (creating if needed) the registry rooted at `root`. The fault
-  /// injector, when given, must outlive the registry; it reaches every
+  /// Opens (creating if needed) the registry rooted at `root`. The fs fault
+  /// schedule, when given, must outlive the registry; it reaches every
   /// physical write through atomic_write_file.
   explicit ModelRegistry(std::string root,
-                         const FsFaultInjector* faults = nullptr);
+                         const FaultSchedule<FsFaultKind>* faults = nullptr);
 
   /// Serializes and durably stores `model` as the next version of `name`;
   /// returns the assigned version (1 for a new name). Model names are
@@ -81,7 +81,7 @@ class ModelRegistry {
 
  private:
   std::string root_;
-  const FsFaultInjector* faults_ = nullptr;
+  const FaultSchedule<FsFaultKind>* faults_ = nullptr;
 };
 
 }  // namespace rsm::serve

@@ -18,6 +18,14 @@ using Real = double;
 /// back-substitution) well-defined without casts.
 using Index = std::ptrdiff_t;
 
+/// splitmix64's finalizer: a bijective mix of one 64-bit word. Xoshiro256
+/// seeds its state with it and the fault schedules hash with it.
+[[nodiscard]] constexpr std::uint64_t splitmix64_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 /// Exception thrown on precondition violations and numerical failures.
 class Error : public std::runtime_error {
  public:

@@ -1,56 +1,9 @@
 #include "util/fault_injection.hpp"
 
 namespace rsm {
-namespace {
 
-/// splitmix64 finalizer: one well-mixed 64-bit word per (seed, sample, lane).
-std::uint64_t mix(std::uint64_t seed, std::uint64_t sample,
-                  std::uint64_t lane) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (sample + 1) + lane;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-/// Uniform in [0, 1) from one hash word.
-Real uniform(std::uint64_t seed, std::uint64_t sample, std::uint64_t lane) {
-  return static_cast<Real>(mix(seed, sample, lane) >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
-FaultInjector::FaultInjector(const Options& options) : options_(options) {
-  RSM_CHECK_MSG(options.fault_rate >= 0 && options.fault_rate <= 1,
-                "fault_rate must be in [0, 1]");
-  RSM_CHECK_MSG(
-      options.persistent_fraction >= 0 && options.persistent_fraction <= 1,
-      "persistent_fraction must be in [0, 1]");
-}
-
-FaultKind FaultInjector::kind(Index sample) const {
-  if (!enabled()) return FaultKind::kNone;
-  const auto s = static_cast<std::uint64_t>(sample);
-  if (uniform(options_.seed, s, 0) >= options_.fault_rate)
-    return FaultKind::kNone;
-  return uniform(options_.seed, s, 1) < Real{0.5} ? FaultKind::kSingularSolve
-                                                  : FaultKind::kNewtonStall;
-}
-
-bool FaultInjector::is_persistent(Index sample) const {
-  if (kind(sample) == FaultKind::kNone) return false;
-  const auto s = static_cast<std::uint64_t>(sample);
-  return uniform(options_.seed, s, 2) < options_.persistent_fraction;
-}
-
-bool FaultInjector::should_fail(Index sample, int attempt) const {
-  const FaultKind k = kind(sample);
-  if (k == FaultKind::kNone) return false;
-  return attempt == 0 || is_persistent(sample);
-}
-
-void FaultInjector::throw_if_faulted(Index sample, int attempt) const {
-  if (!should_fail(sample, attempt)) return;
-  switch (kind(sample)) {
+void throw_injected_fault(FaultKind kind, Index sample) {
+  switch (kind) {
     case FaultKind::kSingularSolve:
       throw SingularMatrixError("injected singular solve", "fault-injection",
                                 sample);
@@ -59,73 +12,6 @@ void FaultInjector::throw_if_faulted(Index sample, int attempt) const {
                              "fault-injection", sample);
     case FaultKind::kNone: break;
   }
-}
-
-WorkerFaultInjector::WorkerFaultInjector(const Options& options)
-    : options_(options) {
-  RSM_CHECK_MSG(options.fault_rate >= 0 && options.fault_rate <= 1,
-                "fault_rate must be in [0, 1]");
-}
-
-bool WorkerFaultInjector::should_fault(Index row) const {
-  if (!enabled()) return false;
-  const auto r = static_cast<std::uint64_t>(row);
-  return uniform(options_.seed, r, 3) < options_.fault_rate;
-}
-
-const char* fs_fault_kind_name(FsFaultKind kind) {
-  switch (kind) {
-    case FsFaultKind::kNone: return "none";
-    case FsFaultKind::kTornWrite: return "torn-write";
-    case FsFaultKind::kShortWrite: return "short-write";
-    case FsFaultKind::kNoSpace: return "no-space";
-  }
-  return "?";
-}
-
-FsFaultInjector::FsFaultInjector(const Options& options) : options_(options) {
-  RSM_CHECK_MSG(options.fault_rate >= 0 && options.fault_rate <= 1,
-                "fault_rate must be in [0, 1]");
-}
-
-FsFaultKind FsFaultInjector::kind(std::uint64_t op) const {
-  if (!enabled()) return FsFaultKind::kNone;
-  if (uniform(options_.seed, op, 0) >= options_.fault_rate)
-    return FsFaultKind::kNone;
-  const Real mode = uniform(options_.seed, op, 1);
-  if (mode < Real{1} / 3) return FsFaultKind::kTornWrite;
-  if (mode < Real{2} / 3) return FsFaultKind::kShortWrite;
-  return FsFaultKind::kNoSpace;
-}
-
-const char* socket_fault_kind_name(SocketFaultKind kind) {
-  switch (kind) {
-    case SocketFaultKind::kNone: return "none";
-    case SocketFaultKind::kTornWrite: return "torn-write";
-    case SocketFaultKind::kShortRead: return "short-read";
-    case SocketFaultKind::kStalledPeer: return "stalled-peer";
-    case SocketFaultKind::kMidFrameDisconnect: return "mid-frame-disconnect";
-  }
-  return "?";
-}
-
-SocketFaultInjector::SocketFaultInjector(const Options& options)
-    : options_(options) {
-  RSM_CHECK_MSG(options.fault_rate >= 0 && options.fault_rate <= 1,
-                "fault_rate must be in [0, 1]");
-}
-
-SocketFaultKind SocketFaultInjector::kind(std::uint64_t op) const {
-  if (!enabled()) return SocketFaultKind::kNone;
-  // Lane 4/5: lanes 0-3 are taken by the sample/fs injectors above, and a
-  // shared seed must not correlate socket faults with fs faults.
-  if (uniform(options_.seed, op, 4) >= options_.fault_rate)
-    return SocketFaultKind::kNone;
-  const Real mode = uniform(options_.seed, op, 5);
-  if (mode < Real{0.25}) return SocketFaultKind::kTornWrite;
-  if (mode < Real{0.5}) return SocketFaultKind::kShortRead;
-  if (mode < Real{0.75}) return SocketFaultKind::kStalledPeer;
-  return SocketFaultKind::kMidFrameDisconnect;
 }
 
 }  // namespace rsm

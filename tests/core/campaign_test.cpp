@@ -86,7 +86,7 @@ TEST(Campaign, QuarantinesExactlyThePersistentFaults) {
   const SyntheticBench bench(120);
   CampaignOptions options;
   options.max_attempts = 3;
-  options.fault_injector = FaultInjector(
+  options.fault_injector = FaultSchedule<FaultKind>(
       {.fault_rate = 0.05, .persistent_fraction = 0.5, .seed = 99});
 
   // Enumerate the injector's plan up front.
@@ -162,7 +162,7 @@ TEST(Campaign, FaultedFitMatchesFaultFreeWithinTenPercent) {
       fit_campaign(clean, bench.dictionary, build);
 
   CampaignOptions faulted_options;
-  faulted_options.fault_injector = FaultInjector(
+  faulted_options.fault_injector = FaultSchedule<FaultKind>(
       {.fault_rate = 0.05, .persistent_fraction = 0.5, .seed = 99});
   const CampaignResult faulted =
       run_campaign(bench.samples, bench.evaluator(), faulted_options);
@@ -194,7 +194,7 @@ TEST(Campaign, FitGateThrowsBelowSuccessThreshold) {
   CampaignOptions options;
   options.max_attempts = 2;
   options.min_success_fraction = 0.9;
-  options.fault_injector = FaultInjector(
+  options.fault_injector = FaultSchedule<FaultKind>(
       {.fault_rate = 0.6, .persistent_fraction = 1.0, .seed = 5});
 
   const CampaignResult result =
@@ -217,7 +217,7 @@ TEST(Campaign, RetriesRunAtEscalatedLevels) {
   const SyntheticBench bench(25);
   CampaignOptions options;
   options.max_attempts = 3;
-  options.fault_injector = FaultInjector(
+  options.fault_injector = FaultSchedule<FaultKind>(
       {.fault_rate = 1.0, .persistent_fraction = 0.0, .seed = 1});
 
   // One slot per row: a row's attempts all run on the worker that claimed
@@ -298,7 +298,7 @@ TEST(Campaign, TelemetryMirrorsFaultInjectionOutcomes) {
   const SyntheticBench bench(120);
   CampaignOptions options;
   options.max_attempts = 3;
-  options.fault_injector = FaultInjector(
+  options.fault_injector = FaultSchedule<FaultKind>(
       {.fault_rate = 0.05, .persistent_fraction = 0.5, .seed = 99});
 
   const auto ring = std::make_shared<obs::RingBufferSink>();
@@ -351,7 +351,7 @@ TEST(Campaign, ReportToJsonMirrorsCounts) {
   const SyntheticBench bench(30);
   CampaignOptions options;
   options.max_attempts = 2;
-  options.fault_injector = FaultInjector(
+  options.fault_injector = FaultSchedule<FaultKind>(
       {.fault_rate = 0.3, .persistent_fraction = 0.5, .seed = 7});
   const CampaignResult result =
       run_campaign(bench.samples, bench.evaluator(), options);

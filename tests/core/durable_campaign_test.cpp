@@ -54,11 +54,11 @@ SampleEvaluator pure_evaluator() {
 /// at least one persistent fault (quarantine path) and one transient fault
 /// (retry path) among the kRows rows, so resume has to replay every record
 /// type. The seed is searched deterministically at runtime.
-FaultInjector::Options mixed_fault_plan() {
+FaultSchedule<FaultKind>::Options mixed_fault_plan() {
   for (std::uint64_t seed = 1; seed < 65536; ++seed) {
-    FaultInjector::Options options{
+    FaultSchedule<FaultKind>::Options options{
         .fault_rate = 0.3, .persistent_fraction = 0.5, .seed = seed};
-    const FaultInjector injector(options);
+    const FaultSchedule<FaultKind> injector(options);
     bool persistent = false;
     bool transient = false;
     for (Index row = 0; row < kRows; ++row) {
@@ -120,7 +120,7 @@ TEST(DurableCampaignTest, ResumeAfterInterruptIsBitIdentical) {
   CampaignOptions base;
   base.max_attempts = 2;
   base.min_success_fraction = 0.5;
-  base.fault_injector = FaultInjector(mixed_fault_plan());
+  base.fault_injector = FaultSchedule<FaultKind>(mixed_fault_plan());
   // One worker: the interruption point below is "row k and nothing after
   // it", which only a single in-order worker guarantees.
   base.num_workers = 1;
@@ -131,7 +131,7 @@ TEST(DurableCampaignTest, ResumeAfterInterruptIsBitIdentical) {
 
   // Interrupt while evaluating row k, for every k whose evaluator actually
   // runs (persistently-faulted rows never reach it) short of the last row.
-  const FaultInjector injector(base.fault_injector.options());
+  const FaultSchedule<FaultKind> injector(base.fault_injector.options());
   for (Index k = 0; k < kRows - 1; ++k) {
     if (injector.is_persistent(k)) continue;
     CampaignOptions options = base;
@@ -350,7 +350,7 @@ TEST(DurableCampaignTest, CheckpointFailureNeverAbortsTheCampaign) {
   // Every physical write faults; even the writer's recovery rewrite fails,
   // so durability is abandoned — but the science continues.
   options.checkpoint.fs_faults =
-      FsFaultInjector({.fault_rate = 1.0, .seed = 5});
+      FaultSchedule<FsFaultKind>({.fault_rate = 1.0, .seed = 5});
   const CampaignResult result =
       run_campaign(samples, pure_evaluator(), options);
 
@@ -374,7 +374,7 @@ TEST(DurableCampaignTest, WriterSelfHealKeepsLogLoadable) {
   // rewrites (whose fresh files restart at op 0) always succeed.
   bool found = false;
   for (std::uint64_t seed = 1; seed < 65536 && !found; ++seed) {
-    FsFaultInjector candidate({.fault_rate = 0.2, .seed = seed});
+    FaultSchedule<FsFaultKind> candidate({.fault_rate = 0.2, .seed = seed});
     for (std::uint64_t op = 0; op < static_cast<std::uint64_t>(kRows); ++op) {
       if (candidate.kind(op) != FsFaultKind::kNone) {
         if (op >= 1) {

@@ -55,11 +55,11 @@ SampleEvaluator pure_evaluator() {
 
 /// Fault plan with at least one persistent (quarantine) and one transient
 /// (retry) fault among the kRows rows, found deterministically.
-FaultInjector::Options mixed_fault_plan() {
+FaultSchedule<FaultKind>::Options mixed_fault_plan() {
   for (std::uint64_t seed = 1; seed < 65536; ++seed) {
-    FaultInjector::Options options{
+    FaultSchedule<FaultKind>::Options options{
         .fault_rate = 0.3, .persistent_fraction = 0.5, .seed = seed};
-    const FaultInjector injector(options);
+    const FaultSchedule<FaultKind> injector(options);
     bool persistent = false;
     bool transient = false;
     for (Index row = 0; row < kRows; ++row) {
@@ -116,7 +116,7 @@ TEST(ParallelCampaignTest, ParallelMatchesSerialBitIdentical) {
   CampaignOptions options;
   options.max_attempts = 2;
   options.min_success_fraction = 0.5;
-  options.fault_injector = FaultInjector(mixed_fault_plan());
+  options.fault_injector = FaultSchedule<FaultKind>(mixed_fault_plan());
 
   const CampaignResult serial =
       run_campaign(samples, pure_evaluator(), options);
@@ -140,7 +140,7 @@ TEST(ParallelCampaignTest, FreshParallelRunCompactsToSerialLogBytes) {
   CampaignOptions serial_options;
   serial_options.max_attempts = 2;
   serial_options.min_success_fraction = 0.5;
-  serial_options.fault_injector = FaultInjector(mixed_fault_plan());
+  serial_options.fault_injector = FaultSchedule<FaultKind>(mixed_fault_plan());
   serial_options.checkpoint.path = test_path("compact_serial.ckpt");
   (void)run_campaign(samples, pure_evaluator(), serial_options);
 
@@ -164,7 +164,7 @@ TEST(ParallelCampaignTest, KilledParallelRunResumesByteIdentical) {
   CampaignOptions options;
   options.max_attempts = 2;
   options.min_success_fraction = 0.5;
-  options.fault_injector = FaultInjector(mixed_fault_plan());
+  options.fault_injector = FaultSchedule<FaultKind>(mixed_fault_plan());
 
   // Uninterrupted reference run and its compacted log.
   CampaignOptions reference_options = options;
@@ -247,14 +247,14 @@ TEST(ParallelCampaignTest, WorkerInfraFaultsNeverChangeTheScience) {
   const Matrix samples = make_samples();
   // A worker-fault plan that hits at least three rows, found
   // deterministically (decisions are a pure hash of (seed, row)).
-  WorkerFaultInjector::Options plan{.fault_rate = 0.4, .seed = 1};
+  FaultSchedule<WorkerFaultKind>::Options plan{.fault_rate = 0.4, .seed = 1};
   Index faulted = 0;
   for (std::uint64_t seed = 1; seed < 65536; ++seed) {
     plan.seed = seed;
-    const WorkerFaultInjector injector(plan);
+    const FaultSchedule<WorkerFaultKind> injector(plan);
     faulted = 0;
     for (Index row = 0; row < kRows; ++row)
-      if (injector.should_fault(row)) ++faulted;
+      if (injector.kind(row) != WorkerFaultKind::kNone) ++faulted;
     if (faulted >= 3) break;
   }
   ASSERT_GE(faulted, 3);
@@ -262,21 +262,20 @@ TEST(ParallelCampaignTest, WorkerInfraFaultsNeverChangeTheScience) {
   CampaignOptions options;
   options.max_attempts = 2;
   options.min_success_fraction = 0.5;
-  options.fault_injector = FaultInjector(mixed_fault_plan());
+  options.fault_injector = FaultSchedule<FaultKind>(mixed_fault_plan());
   const CampaignResult serial =
       run_campaign(samples, pure_evaluator(), options);
 
   CampaignOptions faulty = options;
   faulty.num_workers = 4;
-  faulty.worker_faults = WorkerFaultInjector(plan);
-  faulty.worker_quarantine_threshold = 1;
+  faulty.worker_faults = FaultSchedule<WorkerFaultKind>(plan);
   const CampaignResult result =
       run_campaign(samples, pure_evaluator(), faulty);
 
   // Every injected infrastructure death was absorbed: the row was requeued
   // and evaluated as if nothing happened.
   EXPECT_EQ(result.report.worker_infra_failures, faulted);
-  EXPECT_GE(result.report.workers_quarantined, 1);  // threshold 1, 4 workers
+  EXPECT_GE(result.report.workers_quarantined, 1);  // 4 workers
   EXPECT_LE(result.report.workers_quarantined, 3);  // never the last worker
   EXPECT_FALSE(result.report.truncated);
   expect_bit_identical(result, serial);
@@ -285,14 +284,13 @@ TEST(ParallelCampaignTest, WorkerInfraFaultsNeverChangeTheScience) {
 
 TEST(ParallelCampaignTest, QuarantineNeverRetiresTheLastWorker) {
   const Matrix samples = make_samples();
-  // Two workers, threshold 1, every row faults on first execution: the
-  // first absorbed fault retires one worker, every later retirement is
-  // refused — the pool degrades to one worker and still finishes.
+  // Two workers, every row faults on first execution: the first absorbed
+  // fault retires one worker, every later retirement is refused — the pool
+  // degrades to one worker and still finishes.
   CampaignOptions options;
   options.num_workers = 2;
   options.worker_faults =
-      WorkerFaultInjector({.fault_rate = 1.0, .seed = 3});
-  options.worker_quarantine_threshold = 1;
+      FaultSchedule<WorkerFaultKind>({.fault_rate = 1.0, .seed = 3});
   const CampaignResult result =
       run_campaign(samples, pure_evaluator(), options);
 
@@ -405,11 +403,11 @@ TEST(ParallelCampaignTest, FaultDecisionsAreIdenticalAcrossThreads) {
   // The determinism keystone: every injector decision is a pure hash of
   // (seed, row), so concurrent queries from pool workers must agree with a
   // serial sweep exactly.
-  const FaultInjector injector(
+  const FaultSchedule<FaultKind> injector(
       {.fault_rate = 0.5, .persistent_fraction = 0.5, .seed = 99});
-  const WorkerFaultInjector worker_injector(
+  const FaultSchedule<WorkerFaultKind> worker_injector(
       {.fault_rate = 0.5, .seed = 99});
-  const FsFaultInjector fs_injector({.fault_rate = 0.5, .seed = 99});
+  const FaultSchedule<FsFaultKind> fs_injector({.fault_rate = 0.5, .seed = 99});
 
   constexpr Index kProbe = 512;
   std::vector<int> serial(kProbe);
@@ -417,7 +415,7 @@ TEST(ParallelCampaignTest, FaultDecisionsAreIdenticalAcrossThreads) {
     serial[static_cast<std::size_t>(r)] =
         (static_cast<int>(injector.kind(r)) << 3) |
         (injector.is_persistent(r) ? 4 : 0) |
-        (worker_injector.should_fault(r) ? 2 : 0) |
+        (worker_injector.kind(r) != WorkerFaultKind::kNone ? 2 : 0) |
         (fs_injector.kind(static_cast<std::uint64_t>(r)) != FsFaultKind::kNone
              ? 1
              : 0);
@@ -433,7 +431,7 @@ TEST(ParallelCampaignTest, FaultDecisionsAreIdenticalAcrossThreads) {
         concurrent[static_cast<std::size_t>(r)] =
             (static_cast<int>(injector.kind(r)) << 3) |
             (injector.is_persistent(r) ? 4 : 0) |
-            (worker_injector.should_fault(r) ? 2 : 0) |
+            (worker_injector.kind(r) != WorkerFaultKind::kNone ? 2 : 0) |
             (fs_injector.kind(static_cast<std::uint64_t>(r)) !=
                      FsFaultKind::kNone
                  ? 1

@@ -21,14 +21,13 @@ std::string test_path(const std::string& name) {
 
 /// Finds an all-faulting injector whose very first op carries `want`, so a
 /// test can trigger a specific fault mode deterministically.
-FsFaultInjector injector_with_first_kind(FsFaultKind want) {
+FaultSchedule<FsFaultKind> injector_with_first_kind(FsFaultKind want) {
   for (std::uint64_t seed = 1; seed < 4096; ++seed) {
-    FsFaultInjector injector({.fault_rate = 1.0, .seed = seed});
+    FaultSchedule<FsFaultKind> injector({.fault_rate = 1.0, .seed = seed});
     if (injector.kind(0) == want) return injector;
   }
-  ADD_FAILURE() << "no seed produced first-op kind "
-                << fs_fault_kind_name(want);
-  return FsFaultInjector{};
+  ADD_FAILURE() << "no seed produced first-op kind " << fault_kind_name(want);
+  return FaultSchedule<FsFaultKind>{};
 }
 
 TEST(DurableFileTest, WritesAndAppends) {
@@ -65,7 +64,7 @@ TEST(DurableFileTest, MissingDirectoryThrowsIoError) {
 
 TEST(DurableFileTest, TornWritePersistsHalf) {
   const std::string path = test_path("torn.bin");
-  const FsFaultInjector faults =
+  const FaultSchedule<FsFaultKind> faults =
       injector_with_first_kind(FsFaultKind::kTornWrite);
   DurableFile file(path, DurableFile::Mode::kTruncate, &faults);
   EXPECT_THROW(file.write("0123456789"), IoError);
@@ -74,7 +73,7 @@ TEST(DurableFileTest, TornWritePersistsHalf) {
 
 TEST(DurableFileTest, ShortWritePersistsAllButOneByte) {
   const std::string path = test_path("short.bin");
-  const FsFaultInjector faults =
+  const FaultSchedule<FsFaultKind> faults =
       injector_with_first_kind(FsFaultKind::kShortWrite);
   DurableFile file(path, DurableFile::Mode::kTruncate, &faults);
   EXPECT_THROW(file.write("0123456789"), IoError);
@@ -83,7 +82,7 @@ TEST(DurableFileTest, ShortWritePersistsAllButOneByte) {
 
 TEST(DurableFileTest, NoSpacePersistsNothing) {
   const std::string path = test_path("nospace.bin");
-  const FsFaultInjector faults =
+  const FaultSchedule<FsFaultKind> faults =
       injector_with_first_kind(FsFaultKind::kNoSpace);
   DurableFile file(path, DurableFile::Mode::kTruncate, &faults);
   EXPECT_THROW(file.write("0123456789"), IoError);
@@ -102,7 +101,7 @@ TEST(AtomicWriteTest, ReplacesWholeFileAndRemovesTemp) {
 TEST(AtomicWriteTest, FaultedWriteLeavesTargetUntouched) {
   const std::string path = test_path("atomic_fault.bin");
   atomic_write_file(path, "precious old content");
-  const FsFaultInjector faults =
+  const FaultSchedule<FsFaultKind> faults =
       injector_with_first_kind(FsFaultKind::kTornWrite);
   EXPECT_THROW(atomic_write_file(path, "replacement that tears", &faults),
                IoError);
@@ -128,7 +127,7 @@ TEST(FileExistsTest, ReflectsFilesystem) {
 }
 
 TEST(FsFaultInjectorTest, DeterministicAndSplitsModes) {
-  FsFaultInjector injector({.fault_rate = 1.0, .seed = 42});
+  FaultSchedule<FsFaultKind> injector({.fault_rate = 1.0, .seed = 42});
   bool saw[4] = {};
   for (std::uint64_t op = 0; op < 64; ++op) {
     const FsFaultKind kind = injector.kind(op);
@@ -139,7 +138,7 @@ TEST(FsFaultInjectorTest, DeterministicAndSplitsModes) {
   EXPECT_TRUE(saw[static_cast<int>(FsFaultKind::kTornWrite)]);
   EXPECT_TRUE(saw[static_cast<int>(FsFaultKind::kShortWrite)]);
   EXPECT_TRUE(saw[static_cast<int>(FsFaultKind::kNoSpace)]);
-  EXPECT_FALSE(FsFaultInjector{}.enabled());
+  EXPECT_FALSE(FaultSchedule<FsFaultKind>{}.enabled());
 }
 
 }  // namespace

@@ -278,7 +278,7 @@ TEST(CheckpointWriterTest, SelfHealsFaultedAppendAtomically) {
   options.path = path;
   std::uint64_t first_fault = 0;
   for (std::uint64_t seed = 1; seed < 65536 && first_fault == 0; ++seed) {
-    FsFaultInjector candidate({.fault_rate = 0.25, .seed = seed});
+    FaultSchedule<FsFaultKind> candidate({.fault_rate = 0.25, .seed = seed});
     for (std::uint64_t op = 0; op < 4; ++op) {
       if (candidate.kind(op) != FsFaultKind::kNone) {
         if (op >= 1) {
@@ -310,6 +310,41 @@ TEST(CheckpointWriterTest, SelfHealsFaultedAppendAtomically) {
     EXPECT_EQ(data.records[static_cast<std::size_t>(i)].value,
               static_cast<Real>(i) * 0.5);
   }
+}
+
+TEST(CheckpointWriterTest, SelfHealContinuesTheFsSchedule) {
+  // Append i is op i of the fs schedule, across every self-heal: a reopened
+  // log continues where the faulted file stopped rather than replaying the
+  // schedule from op 0, so each faulted op the appends reach costs exactly
+  // one rewrite. Rate 0.5, seed 6 leaves op 0 clean (the atomic rewrites
+  // succeed) and faults ops 1-3 with all three modes.
+  const FaultSchedule<FsFaultKind> faults({.fault_rate = 0.5, .seed = 6});
+  ASSERT_EQ(faults.kind(0), FsFaultKind::kNone);
+  ASSERT_EQ(faults.kind(1), FsFaultKind::kTornWrite);
+  ASSERT_EQ(faults.kind(2), FsFaultKind::kNoSpace);
+  ASSERT_EQ(faults.kind(3), FsFaultKind::kShortWrite);
+  constexpr Index kAppends = 20;
+  Index faulted_ops = 0;
+  for (Index op = 0; op < kAppends; ++op)
+    if (faults.kind(op) != FsFaultKind::kNone) ++faulted_ops;
+
+  CheckpointOptions options;
+  options.path = test_path("self_heal_schedule.ckpt");
+  options.fs_faults = faults;
+  CheckpointWriter writer(options, test_header());
+  for (Index i = 0; i < kAppends; ++i) {
+    CheckpointRecord record;
+    record.type = CheckpointRecord::Type::kSample;
+    record.sample = i;
+    record.value = static_cast<Real>(i);
+    writer.append(record);
+  }
+  EXPECT_EQ(writer.rewrites(), faulted_ops);
+  writer.flush();
+  const CheckpointData data = load_checkpoint(options.path, LoadMode::kStrict);
+  ASSERT_EQ(data.records.size(), static_cast<std::size_t>(kAppends));
+  for (Index i = 0; i < kAppends; ++i)
+    EXPECT_EQ(data.records[static_cast<std::size_t>(i)].sample, i);
 }
 
 TEST(CheckpointFormatTest, FailedAttemptCodesRoundtrip) {
@@ -717,8 +752,8 @@ TEST(CheckpointFingerprintTest, SensitiveToEveryInput) {
   EXPECT_NE(matrix_fingerprint(a), matrix_fingerprint(b));
   EXPECT_EQ(matrix_fingerprint(a), matrix_fingerprint(a));
 
-  FaultInjector plan_a({.fault_rate = 0.1, .seed = 7});
-  FaultInjector plan_b({.fault_rate = 0.2, .seed = 7});
+  FaultSchedule<FaultKind> plan_a({.fault_rate = 0.1, .seed = 7});
+  FaultSchedule<FaultKind> plan_b({.fault_rate = 0.2, .seed = 7});
   EXPECT_NE(fault_plan_fingerprint(plan_a, 3),
             fault_plan_fingerprint(plan_b, 3));
   EXPECT_NE(fault_plan_fingerprint(plan_a, 3),

@@ -3,15 +3,16 @@
 // adopt_connection() and every event-loop cycle is an explicit poll_once()
 // call, so each scenario is a scripted sequence with exact expected
 // counters — no sleeps racing a server thread. The storm test draws its
-// abuse schedule from SocketFaultInjector, the socket-side sibling of the
-// filesystem injector, so "which connection misbehaves how" is a pure
-// function of the seed and the expected counters can be recomputed in the
-// test from the same schedule.
+// abuse schedule from FaultSchedule<SocketFaultKind>, the socket-side
+// sibling of the filesystem schedule, so "which connection misbehaves how"
+// is a pure function of the seed and the expected counters can be
+// recomputed in the test from the same schedule.
 #include "serve/server.hpp"
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -23,10 +24,42 @@
 
 #include <gtest/gtest.h>
 
+#include "io/crc32.hpp"
 #include "io/wire.hpp"
 #include "stats/rng.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
+
+namespace rsm {
+
+/// Socket-level misbehavior a serving-protocol peer can exhibit. These are
+/// the client-side failure modes the ModelServer must contain to one
+/// connection: a write that stops mid-frame, a peer that reads one byte at
+/// a time, a peer that stops reading responses entirely, and a peer that
+/// vanishes with a frame half sent. A chaos client counts its own requests
+/// and consults kind(op) before each one, so a test can predict exactly
+/// which request misbehaves and how — independent of scheduling,
+/// connection count, or retry order.
+enum class SocketFaultKind {
+  kNone = 0,
+  kTornWrite,          // only a prefix of the frame is sent before a pause
+  kShortRead,          // responses are drained one byte per recv
+  kStalledPeer,        // requests keep coming but responses are never read
+  kMidFrameDisconnect, // the connection closes with a frame half sent
+};
+
+template <>
+struct FaultTraits<SocketFaultKind> {
+  // Lanes 4/5: lanes 0-3 are taken by the sample, worker and fs schedules,
+  // and a shared seed must not correlate socket faults with fs faults.
+  static constexpr std::uint64_t kLane = 4;
+  static constexpr std::uint64_t kSeed = 0x243f6a8885a308d3ull;
+  static constexpr std::array<const char*, 5> kNames = {
+      "none", "torn-write", "short-read", "stalled-peer",
+      "mid-frame-disconnect"};
+};
+
+}  // namespace rsm
 
 namespace rsm::serve {
 namespace {
@@ -162,20 +195,21 @@ class ChaosTest : public ::testing::Test {
 // ---- The injector itself: deterministic, seeded, lane-isolated. ----
 
 TEST(SocketFaultInjectorTest, SameSeedSameSchedule) {
-  SocketFaultInjector::Options options;
+  FaultSchedule<SocketFaultKind>::Options options;
   options.fault_rate = 0.5;
   options.seed = 1234;
-  SocketFaultInjector a(options);
-  SocketFaultInjector b(options);
+  FaultSchedule<SocketFaultKind> a(options);
+  FaultSchedule<SocketFaultKind> b(options);
   for (std::uint64_t op = 0; op < 200; ++op)
     EXPECT_EQ(a.kind(op), b.kind(op)) << "op " << op;
 }
 
 TEST(SocketFaultInjectorTest, RateZeroIsSilentRateOneAlwaysFires) {
-  SocketFaultInjector off(SocketFaultInjector::Options{});
-  SocketFaultInjector::Options always;
+  FaultSchedule<SocketFaultKind> off(
+      FaultSchedule<SocketFaultKind>::Options{});
+  FaultSchedule<SocketFaultKind>::Options always;
   always.fault_rate = 1.0;
-  SocketFaultInjector on(always);
+  FaultSchedule<SocketFaultKind> on(always);
   for (std::uint64_t op = 0; op < 200; ++op) {
     EXPECT_EQ(off.kind(op), SocketFaultKind::kNone);
     EXPECT_NE(on.kind(op), SocketFaultKind::kNone);
@@ -183,10 +217,10 @@ TEST(SocketFaultInjectorTest, RateZeroIsSilentRateOneAlwaysFires) {
 }
 
 TEST(SocketFaultInjectorTest, FullRateCoversEveryFaultKind) {
-  SocketFaultInjector::Options options;
+  FaultSchedule<SocketFaultKind>::Options options;
   options.fault_rate = 1.0;
   options.seed = 99;
-  SocketFaultInjector injector(options);
+  FaultSchedule<SocketFaultKind> injector(options);
   int seen[5] = {0, 0, 0, 0, 0};
   for (std::uint64_t op = 0; op < 400; ++op)
     ++seen[static_cast<int>(injector.kind(op))];
@@ -198,15 +232,30 @@ TEST(SocketFaultInjectorTest, FullRateCoversEveryFaultKind) {
 }
 
 TEST(SocketFaultInjectorTest, KindNamesAreStable) {
-  EXPECT_STREQ(socket_fault_kind_name(SocketFaultKind::kNone), "none");
-  EXPECT_STREQ(socket_fault_kind_name(SocketFaultKind::kTornWrite),
-               "torn-write");
-  EXPECT_STREQ(socket_fault_kind_name(SocketFaultKind::kShortRead),
-               "short-read");
-  EXPECT_STREQ(socket_fault_kind_name(SocketFaultKind::kStalledPeer),
-               "stalled-peer");
-  EXPECT_STREQ(socket_fault_kind_name(SocketFaultKind::kMidFrameDisconnect),
+  EXPECT_STREQ(fault_kind_name(SocketFaultKind::kNone), "none");
+  EXPECT_STREQ(fault_kind_name(SocketFaultKind::kTornWrite), "torn-write");
+  EXPECT_STREQ(fault_kind_name(SocketFaultKind::kShortRead), "short-read");
+  EXPECT_STREQ(fault_kind_name(SocketFaultKind::kStalledPeer), "stalled-peer");
+  EXPECT_STREQ(fault_kind_name(SocketFaultKind::kMidFrameDisconnect),
                "mid-frame-disconnect");
+}
+
+TEST(FaultSchedulePins, SocketLayer) {
+  // As the other layers' pins (tests/util/common_test.cpp): the expected
+  // hash was printed by the same sweep linked against the socket injector
+  // class that FaultSchedule<SocketFaultKind> replaced.
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  auto fold = [&hash](const FaultSchedule<SocketFaultKind>::Options& plan) {
+    const FaultSchedule<SocketFaultKind> schedule(plan);
+    for (std::uint64_t op = 0; op < 4096; ++op) {
+      const auto kind = static_cast<std::uint64_t>(schedule.kind(op));
+      hash = io::fnv1a64(&kind, sizeof kind, hash);
+    }
+  };
+  fold({.fault_rate = 0.05});
+  fold({.fault_rate = 0.8, .seed = 4242});
+  fold({.fault_rate = 1.0, .seed = 99});
+  EXPECT_EQ(hash, 0xe9663550e1218286ull);
 }
 
 // ---- Overload: shedding is per offender, never global. ----
@@ -530,10 +579,10 @@ TEST_F(ChaosTest, InjectorScheduledStormLeavesServerConsistent) {
   options.max_pending_per_connection = 1;
   start(std::move(options));
 
-  SocketFaultInjector::Options schedule_options;
+  FaultSchedule<SocketFaultKind>::Options schedule_options;
   schedule_options.fault_rate = 0.8;
   schedule_options.seed = 4242;
-  SocketFaultInjector schedule(schedule_options);
+  FaultSchedule<SocketFaultKind> schedule(schedule_options);
 
   constexpr int kOps = 24;
   const std::vector<Real> point(static_cast<std::size_t>(kVars), 0.5);

@@ -169,7 +169,7 @@ TEST(ModelRegistry, BitRotFailsClosed) {
 
 TEST(ModelRegistry, InjectedWriteFaultsFailClosedAndLeaveNoPartial) {
   const std::string root = fresh_root("faults");
-  const FsFaultInjector faults({.fault_rate = 1.0, .seed = 99});
+  const FaultSchedule<FsFaultKind> faults({.fault_rate = 1.0, .seed = 99});
   ModelRegistry registry(root, &faults);
   EXPECT_THROW(registry.save("m", make_model(3, 1)), IoError);
   // atomic_write_file's rename never happened: no artifact, no version.
@@ -229,7 +229,7 @@ TEST(ModelRegistry, FailedSaveMovesNeitherStateNorFingerprint) {
   // Disk full mid-publish: the save throws, but the registry still holds
   // exactly v1 and the fingerprint is unchanged — a server probing it has
   // nothing to reload, so it keeps serving the last-good version.
-  const FsFaultInjector faults({.fault_rate = 1.0, .seed = 7});
+  const FaultSchedule<FsFaultKind> faults({.fault_rate = 1.0, .seed = 7});
   ModelRegistry flaky(root, &faults);
   EXPECT_THROW(flaky.save("m", make_model(3, 2)), IoError);
   EXPECT_EQ(healthy.latest_version("m"), 1u);

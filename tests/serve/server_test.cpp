@@ -206,6 +206,53 @@ TEST_F(ServerTest, EvalBatchSplitsAcrossPoolAndMatchesBitwise) {
         << "row " << r;
 }
 
+TEST_F(ServerTest, EvalBatchRepliesAreByteIdenticalAcrossWorkerCounts) {
+  // The worker count changes how an eval_batch's parts are scheduled, never
+  // a reply byte: servers with 1, 2 and 4 pool threads answer one request
+  // with the bytes of an in-process predict_batch.
+  Rng rng(41);
+  const Index rows = 53;  // 6 full parts of batch_chunk (8) and a short one
+  const Matrix points = monte_carlo_normal(rows, kVars, rng);
+  std::string request;
+  io::put_bytes(request, "m");
+  io::put_u32(request, 0);
+  io::put_u32(request, static_cast<std::uint32_t>(rows));
+  io::put_u32(request, static_cast<std::uint32_t>(kVars));
+  for (Index r = 0; r < rows; ++r) io::put_reals(request, points.row(r));
+  std::vector<Real> predicted(static_cast<std::size_t>(rows));
+  model_.predict_batch(points, predicted);
+  std::string expected;
+  io::put_u32(expected, static_cast<std::uint32_t>(rows));
+  io::put_reals(expected, predicted);
+
+  for (const int threads : {1, 2, 4}) {
+    const std::string socket =
+        root_ + "/server" + std::to_string(threads) + ".sock";
+    CancellationSource cancel;
+    ServerOptions options;
+    options.socket_path = socket;
+    options.registry_root = root_ + "/registry";
+    options.num_threads = threads;
+    options.batch_chunk = 8;
+    options.cancel = cancel.token();
+    options.poll_interval_seconds = 0.01;
+    ModelServer server(std::move(options));
+    ThreadPool runner(ThreadPool::Options{.num_threads = 1});
+    runner.submit([&server] { server.run(); });
+    std::optional<Frame> response;
+    {
+      TestClient client(socket);
+      client.send_frame(MessageType::kEvalBatchRequest, request);
+      response = client.recv_frame();
+    }
+    cancel.request_cancel();
+    runner.wait_idle();
+    ASSERT_TRUE(response.has_value()) << threads << " threads";
+    EXPECT_EQ(response->type, MessageType::kEvalBatchResponse);
+    EXPECT_EQ(response->payload, expected) << threads << " threads";
+  }
+}
+
 TEST_F(ServerTest, YieldMatchesInProcessEstimate) {
   TestClient client(socket_path());
   std::string payload;

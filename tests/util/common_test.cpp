@@ -1,9 +1,12 @@
 // Assertion-macro semantics, the structured error taxonomy, and the
-// deterministic fault injector.
+// deterministic fault schedules.
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "io/checkpoint.hpp"
+#include "io/crc32.hpp"
 #include "util/common.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
@@ -88,7 +91,7 @@ TEST(ErrorTaxonomy, SubclassesCatchAsError) {
 }
 
 TEST(FaultInjector, DisabledNeverFaults) {
-  const FaultInjector off;
+  const FaultSchedule<FaultKind> off;
   EXPECT_FALSE(off.enabled());
   for (Index k = 0; k < 100; ++k) {
     EXPECT_EQ(off.kind(k), FaultKind::kNone);
@@ -97,9 +100,9 @@ TEST(FaultInjector, DisabledNeverFaults) {
 }
 
 TEST(FaultInjector, DeterministicAndSeedDependent) {
-  const FaultInjector a({.fault_rate = 0.1, .seed = 7});
-  const FaultInjector b({.fault_rate = 0.1, .seed = 7});
-  const FaultInjector c({.fault_rate = 0.1, .seed = 8});
+  const FaultSchedule<FaultKind> a({.fault_rate = 0.1, .seed = 7});
+  const FaultSchedule<FaultKind> b({.fault_rate = 0.1, .seed = 7});
+  const FaultSchedule<FaultKind> c({.fault_rate = 0.1, .seed = 8});
   int differences = 0;
   for (Index k = 0; k < 1000; ++k) {
     EXPECT_EQ(a.kind(k), b.kind(k));
@@ -110,7 +113,7 @@ TEST(FaultInjector, DeterministicAndSeedDependent) {
 }
 
 TEST(FaultInjector, RateIsApproximatelyHonored) {
-  const FaultInjector inj({.fault_rate = 0.05, .seed = 42});
+  const FaultSchedule<FaultKind> inj({.fault_rate = 0.05, .seed = 42});
   int faulted = 0;
   for (Index k = 0; k < 10000; ++k)
     if (inj.kind(k) != FaultKind::kNone) ++faulted;
@@ -119,7 +122,7 @@ TEST(FaultInjector, RateIsApproximatelyHonored) {
 }
 
 TEST(FaultInjector, TransientFaultsClearOnRetryPersistentDoNot) {
-  const FaultInjector inj(
+  const FaultSchedule<FaultKind> inj(
       {.fault_rate = 0.3, .persistent_fraction = 0.5, .seed = 3});
   for (Index k = 0; k < 500; ++k) {
     if (inj.kind(k) == FaultKind::kNone) {
@@ -133,7 +136,7 @@ TEST(FaultInjector, TransientFaultsClearOnRetryPersistentDoNot) {
 }
 
 TEST(FaultInjector, ThrowsTheAdvertisedTaxonomyType) {
-  const FaultInjector inj({.fault_rate = 1.0, .seed = 11});
+  const FaultSchedule<FaultKind> inj({.fault_rate = 1.0, .seed = 11});
   bool saw_singular = false;
   bool saw_stall = false;
   for (Index k = 0; k < 100; ++k) {
@@ -154,6 +157,67 @@ TEST(FaultInjector, ThrowsTheAdvertisedTaxonomyType) {
   }
   EXPECT_TRUE(saw_singular);
   EXPECT_TRUE(saw_stall);
+}
+
+// ---- Pinned schedules. Checkpoints bind a resume to the fault plan, and
+// tests assert exact quarantine sets, so no schedule bit may move. Each
+// hash folds one layer's decisions over kPinnedOps ops at three or four
+// (rate, seed) plans, the layer's default seed among them; the expected
+// values were printed by the same sweep linked against the four per-layer
+// injector classes that FaultSchedule<Kind> replaced. ----
+
+constexpr std::uint64_t kPinnedOps = 4096;
+
+struct PinHash {
+  std::uint64_t value = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) { value = io::fnv1a64(&v, sizeof v, value); }
+};
+
+/// Folds kind() of the first kPinnedOps ops under `plan` into `hash`.
+template <typename Kind>
+void fold_kinds(PinHash& hash, const FaultScheduleOptions<Kind>& plan) {
+  const FaultSchedule<Kind> schedule(plan);
+  for (std::uint64_t op = 0; op < kPinnedOps; ++op)
+    hash.add(static_cast<std::uint64_t>(schedule.kind(op)));
+}
+
+TEST(FaultSchedulePins, SampleLayer) {
+  PinHash hash;
+  auto fold = [&hash](const FaultSchedule<FaultKind>::Options& plan) {
+    const FaultSchedule<FaultKind> schedule(plan);
+    for (Index op = 0; op < static_cast<Index>(kPinnedOps); ++op) {
+      hash.add(static_cast<std::uint64_t>(schedule.kind(op)));
+      hash.add(schedule.is_persistent(op));
+      hash.add(schedule.should_fail(op, 0));
+      hash.add(schedule.should_fail(op, 1));
+    }
+  };
+  fold({.fault_rate = 0.05});
+  fold({.fault_rate = 0.3, .persistent_fraction = 0.25, .seed = 7});
+  fold({.fault_rate = 1.0, .seed = 42});
+  fold({.fault_rate = 0.5, .persistent_fraction = 1.0, .seed = 1234});
+  EXPECT_EQ(hash.value, 0xcb54c8cf9e886226ull);
+
+  const FaultSchedule<FaultKind> disabled;
+  EXPECT_EQ(io::fault_plan_fingerprint(disabled, 3), 0xf526eb3f47cf94aeull);
+  const FaultSchedule<FaultKind> plan({.fault_rate = 0.1, .seed = 7});
+  EXPECT_EQ(io::fault_plan_fingerprint(plan, 3), 0x9686a7601a629f45ull);
+}
+
+TEST(FaultSchedulePins, WorkerLayer) {
+  PinHash hash;
+  fold_kinds<WorkerFaultKind>(hash, {.fault_rate = 0.05});
+  fold_kinds<WorkerFaultKind>(hash, {.fault_rate = 0.4, .seed = 1});
+  fold_kinds<WorkerFaultKind>(hash, {.fault_rate = 1.0, .seed = 3});
+  EXPECT_EQ(hash.value, 0x53c0b2b5757a9804ull);
+}
+
+TEST(FaultSchedulePins, FsLayer) {
+  PinHash hash;
+  fold_kinds<FsFaultKind>(hash, {.fault_rate = 0.05});
+  fold_kinds<FsFaultKind>(hash, {.fault_rate = 0.5, .seed = 6});
+  fold_kinds<FsFaultKind>(hash, {.fault_rate = 0.25, .seed = 99});
+  EXPECT_EQ(hash.value, 0xcd3de230a67a1264ull);
 }
 
 }  // namespace
