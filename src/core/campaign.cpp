@@ -450,7 +450,8 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
         workers_quarantined.load(std::memory_order_relaxed);
     report.worker_infra_failures =
         infra_failures.load(std::memory_order_relaxed);
-    report.checkpoint_failed = checkpoint_failed.load(std::memory_order_relaxed);
+    report.checkpoint_failed =
+        checkpoint_failed.load(std::memory_order_relaxed);
     report.error_histogram[static_cast<std::size_t>(ErrorCode::kIoError)] +=
         checkpoint_io_errors.load(std::memory_order_relaxed);
   }

@@ -42,7 +42,9 @@ void Xoshiro256::jump() {
   for (std::uint64_t word : kJump) {
     for (int b = 0; b < 64; ++b) {
       if (word & (1ull << b)) {
-        for (int i = 0; i < 4; ++i) acc[static_cast<std::size_t>(i)] ^= state_[static_cast<std::size_t>(i)];
+        for (int i = 0; i < 4; ++i)
+          acc[static_cast<std::size_t>(i)] ^=
+              state_[static_cast<std::size_t>(i)];
       }
       (void)(*this)();
     }

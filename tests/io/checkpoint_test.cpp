@@ -152,7 +152,8 @@ TEST(CheckpointFormatTest, RecordBitFlipRejectedInBothModes) {
   // Flip one bit inside the *first* record's payload: a complete record with
   // a failing CRC is corruption, never a recoverable tail — even in
   // kRecoverTail mode.
-  bytes[first_record_at + 8] = static_cast<char>(bytes[first_record_at + 8] ^ 1);
+  bytes[first_record_at + 8] =
+      static_cast<char>(bytes[first_record_at + 8] ^ 1);
   atomic_write_file(path, bytes);
   expect_reject(path, LoadMode::kStrict, "record CRC mismatch");
   expect_reject(path, LoadMode::kRecoverTail, "record CRC mismatch");

@@ -200,10 +200,19 @@ TEST(Protocol, EveryTruncationAndBitFlipFailsClosed) {
   io::put_u8(error, static_cast<std::uint8_t>(ErrorCode::kOverloaded));
   io::put_bytes(error, "server overloaded; retry");
   io::put_u32(error, 25);
+  // The CRCs above cover 38, 58 and 42 bytes, all under io::crc32's 64-byte
+  // fold threshold. This one covers 150: 144 bytes through the fold where
+  // the CPU has it, and a 6-byte tail through the table loop.
+  std::string wide_eval;
+  io::put_bytes(wide_eval, "m");
+  io::put_u32(wide_eval, 0);
+  io::put_u32(wide_eval, 16);
+  for (int i = 0; i < 16; ++i) io::put_real(wide_eval, 0.125 * i - 1.0);
   const std::vector<Frame> frames = {
       {MessageType::kEvalRequest, eval},
       {MessageType::kEvalBatchRequest, batch},
       {MessageType::kErrorResponse, error},
+      {MessageType::kEvalRequest, wide_eval},
   };
 
   std::size_t attempts = 0;
