@@ -318,7 +318,8 @@ int main(int argc, char** argv) {
     (void)in.u32();    // version
     const std::uint32_t rows = in.u32();
     const std::uint32_t cols = in.u32();
-    in.reals(decoded);
+    const io::RealsView samples = in.reals(decoded.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) decoded[i] = samples[i];
     in.expect_done();
     if (rows != static_cast<std::uint32_t>(kBatchFrameRows) ||
         cols != static_cast<std::uint32_t>(n))

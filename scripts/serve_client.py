@@ -16,8 +16,10 @@ yield, worst_case, reload), plus three CI helpers:
               answers a clean protocol-error frame and closes the
               connection (no crash, no hang);
   smoke     — the serve-smoke CI sequence: list_models, eval, eval_batch,
-              yield, worst_case, then the malformed-frame check, asserting
-              sane values throughout. Exits nonzero on the first failure.
+              yield, worst_case, pipelined requests (several frames in one
+              write, one frame split across two writes at an odd byte),
+              then the malformed-frame check, asserting sane values
+              throughout. Exits nonzero on the first failure.
   hammer    — the serve-chaos overload sequence: blasts a burst of eval
               frames past the server's admission budget without reading,
               asserts at least one structured `overloaded` shed and at
@@ -305,6 +307,45 @@ def do_malformed(client: Client, args: argparse.Namespace) -> dict:
             "connection_closed": True}
 
 
+def do_pipelined(client: Client, args: argparse.Namespace, n: int) -> dict:
+    """Sends two evals and an eval_batch in one write, then one eval split
+    across two writes at an odd byte; every reply must arrive in order and
+    equal, byte for byte, the reply to the same request sent alone."""
+    points = [[0.25 * (i % 7) - 0.75 for i in range(n)],
+              [0.5 - 0.125 * (i % 5) for i in range(n)],
+              [0.0] * n]
+
+    def eval_payload(point: list[float]) -> bytes:
+        return (model_header(args) + struct.pack("<I", n)
+                + b"".join(put_real(x) for x in point))
+
+    batch_payload = (model_header(args) + struct.pack("<II", len(points), n)
+                     + b"".join(put_real(x) for row in points for x in row))
+    requests = [(EVAL, eval_payload(points[0])),
+                (EVAL, eval_payload(points[1])),
+                (EVAL_BATCH, batch_payload)]
+    alone = [client.request_once(t, p) for t, p in requests]
+
+    client.send_raw(b"".join(encode_frame(t, p) for t, p in requests))
+    for i, ((msg_type, _), want) in enumerate(zip(requests, alone)):
+        resp_type, payload = client.recv_frame()
+        assert resp_type == msg_type | RESPONSE_BIT, \
+            f"pipelined reply {i} has type {resp_type}"
+        assert payload == want, f"pipelined reply {i} differs from its " \
+            "reply when sent alone"
+
+    frame = encode_frame(EVAL, eval_payload(points[1]))
+    cut = len(frame) // 2 | 1
+    client.send_raw(frame[:cut])
+    time.sleep(0.05)  # let the server read the first part on its own
+    client.send_raw(frame[cut:])
+    resp_type, payload = client.recv_frame()
+    assert resp_type == EVAL | RESPONSE_BIT, f"split reply type {resp_type}"
+    assert payload == alone[1], "split frame's reply differs from its reply " \
+        "when sent whole"
+    return {"pipelined_frames": len(requests), "split_at_byte": cut}
+
+
 def do_smoke(client: Client, args: argparse.Namespace) -> dict:
     """End-to-end serve-smoke sequence used by CI."""
     listing = do_list_models(client, args)["models"]
@@ -328,6 +369,8 @@ def do_smoke(client: Client, args: argparse.Namespace) -> dict:
 
     wres = do_worst_case(client, args)
     assert wres["sigma_distance"] <= args.radius + 1e-9, wres
+
+    pipelined = do_pipelined(client, args, n)
 
     # Unknown model must earn a structured error, not a dead connection.
     saved, args.model = args.model, "no-such-model"
@@ -355,6 +398,7 @@ def do_smoke(client: Client, args: argparse.Namespace) -> dict:
         "batch_matches_scalar": True,
         "yield": yres["yield"],
         "worst_case_value": wres["value"],
+        "pipelined": pipelined,
         "unknown_model_error": "io-error",
         "malformed_frame": malformed,
         "ok": True,

@@ -89,6 +89,15 @@ const BasisDictionary& SparseModel::dictionary() const {
 }
 
 Real SparseModel::predict(std::span<const Real> sample) const {
+  return predict_sample(sample);
+}
+
+Real SparseModel::predict(io::RealsView sample) const {
+  return predict_sample(sample);
+}
+
+template <class Samples>
+Real SparseModel::predict_sample(const Samples& sample) const {
   if (terms_.empty()) return 0;
   RSM_CHECK(static_cast<Index>(sample.size()) == dictionary().num_variables());
   // Memoize g_0..g_max once per active variable (several terms usually share
@@ -138,8 +147,8 @@ std::size_t SparseModel::column_offset(PlanFactor pf) const {
          kEvalBlock;
 }
 
-template <class Body>
-void SparseModel::for_each_block(std::span<const Real> samples, Index rows,
+template <class Samples, class Body>
+void SparseModel::for_each_block(const Samples& samples, Index rows,
                                  const Body& body) const {
   const std::size_t cols =
       static_cast<std::size_t>(dictionary().num_variables());
@@ -156,11 +165,11 @@ void SparseModel::for_each_block(std::span<const Real> samples, Index rows,
     // recurrence hermite_normalized_all runs per sample — elementwise the
     // arithmetic is identical, so every table entry is bit-identical to the
     // scalar path's.
-    const Real* block = samples.data() + static_cast<std::size_t>(r0) * cols;
+    const std::size_t first = static_cast<std::size_t>(r0) * cols;
     for (std::size_t s = 0; s < num_slots; ++s) {
-      const std::size_t v = static_cast<std::size_t>(plan_vars_[s]);
+      const std::size_t v = first + static_cast<std::size_t>(plan_vars_[s]);
       Real* g1 = tab + column_offset({static_cast<std::uint32_t>(s), 1});
-      for (std::size_t b = 0; b < bsz; ++b) g1[b] = block[b * cols + v];
+      for (std::size_t b = 0; b < bsz; ++b) g1[b] = samples[b * cols + v];
       for (int k = 1; k < plan_var_max_order_[s]; ++k) {
         const Real sk = std::sqrt(static_cast<Real>(k));
         const Real sk1 = std::sqrt(static_cast<Real>(k + 1));
@@ -196,6 +205,17 @@ void SparseModel::predict_batch(const Matrix& samples,
 
 void SparseModel::predict_batch(std::span<const Real> samples, Index rows,
                                 std::span<Real> out) const {
+  predict_rows(samples, rows, out);
+}
+
+void SparseModel::predict_batch(io::RealsView samples, Index rows,
+                                std::span<Real> out) const {
+  predict_rows(samples, rows, out);
+}
+
+template <class Samples>
+void SparseModel::predict_rows(const Samples& samples, Index rows,
+                               std::span<Real> out) const {
   RSM_CHECK(static_cast<Index>(out.size()) == rows);
   std::fill(out.begin(), out.end(), Real{0});
   if (terms_.empty()) return;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "basis/dictionary.hpp"
+#include "io/wire.hpp"
 #include "util/common.hpp"
 
 namespace rsm {
@@ -54,6 +55,10 @@ class SparseModel {
   /// f(dY) for one sample (size = dictionary().num_variables()).
   [[nodiscard]] Real predict(std::span<const Real> sample) const;
 
+  /// The same prediction for a sample read in place from a wire payload
+  /// (the server's eval path), bit-identical to predict on those values.
+  [[nodiscard]] Real predict(io::RealsView sample) const;
+
   /// Analytic gradient df/d(dY) at a sample point, via the Hermite
   /// derivative identity g_n' = sqrt(n) g_{n-1}. O(lambda * terms-per-index)
   /// — the sensitivity vector behind worst-case corner search. The one-row
@@ -76,6 +81,11 @@ class SparseModel {
   /// buffer (e.g. the server splitting one request across pool workers)
   /// without copying into a Matrix.
   void predict_batch(std::span<const Real> samples, Index rows,
+                     std::span<Real> out) const;
+
+  /// Same engine over rows read in place from a wire payload (the server's
+  /// eval_batch path), bit-identical to the overloads above.
+  void predict_batch(io::RealsView samples, Index rows,
                      std::span<Real> out) const;
 
   /// Gradients for each row of `samples`: returns a K x num_variables
@@ -121,14 +131,28 @@ class SparseModel {
   /// model (fit, loaded, refit) carries its plan.
   void build_plan();
 
-  /// The block engine behind predict_batch and gradient_rows: for each
+  // The engines below read samples only through samples[i], so each takes
+  // either source a caller holds: a std::span<const Real> of native values
+  // or an io::RealsView of wire bytes. One template each, one copy of the
+  // Hermite fill and of the term loop.
+
+  /// The scalar engine behind both predict overloads.
+  template <class Samples>
+  [[nodiscard]] Real predict_sample(const Samples& sample) const;
+
+  /// The batch engine behind every predict_batch overload.
+  template <class Samples>
+  void predict_rows(const Samples& samples, Index rows,
+                    std::span<Real> out) const;
+
+  /// The block engine behind predict_rows and gradient_rows: for each
   /// block of up to kEvalBlock rows of the row-major `samples`, fills the
   /// order columns (orders 1..max_order of every active variable) by the
   /// batched Hermite recurrence, then calls body(table, first_row, rows).
   /// The one copy of that recurrence; a template so the fill and the body
   /// compile into one loop.
-  template <class Body>
-  void for_each_block(std::span<const Real> samples, Index rows,
+  template <class Samples, class Body>
+  void for_each_block(const Samples& samples, Index rows,
                       const Body& body) const;
 
   /// Offset of factor `pf`'s order column in that table.

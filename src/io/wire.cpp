@@ -1,7 +1,6 @@
 #include "io/wire.hpp"
 
 #include <bit>
-#include <cstring>
 #include <sstream>
 
 #include "util/errors.hpp"
@@ -94,14 +93,21 @@ std::uint64_t WireReader::u64() {
 
 Real WireReader::real() { return std::bit_cast<Real>(u64()); }
 
-void WireReader::reals(std::span<Real> out) {
-  if (out.size() > remaining() / sizeof(Real)) fail("truncated real array");
-  if constexpr (std::endian::native == std::endian::little) {
-    if (!out.empty()) std::memcpy(out.data(), cursor(), out.size_bytes());
-    pos_ += out.size_bytes();
-  } else {
-    for (Real& v : out) v = real();
+Real RealsView::decode(const char* p) {
+  WireReader in(std::string_view(p, sizeof(Real)), "real");
+  return in.real();
+}
+
+RealsView WireReader::reals(std::uint64_t count) {
+  if (count > remaining() / sizeof(Real)) {
+    std::ostringstream os;
+    os << "real array of " << count << " values overruns the "
+       << remaining() << " bytes left";
+    fail(os.str().c_str());
   }
+  const RealsView view(bytes_.data() + pos_, static_cast<std::size_t>(count));
+  pos_ += view.size() * sizeof(Real);
+  return view;
 }
 
 std::string WireReader::bytes() {

@@ -4,18 +4,22 @@
 // Fixed-width little-endian integers plus IEEE-754 doubles moved through
 // their bit patterns, so checkpoints, model files and protocol frames are
 // byte-for-byte identical across platforms. Arrays of doubles (eval
-// samples, batch replies) move in bulk: put_reals and WireReader::reals
-// write and read the same bytes as a loop of put_real / real, with one
-// memcpy on little-endian hosts. The writer appends to a caller-owned
-// std::string (the unit both atomic_write_file and the socket send path
-// consume); the reader is bounds-checked and fails closed with a structured
-// IoError naming the artifact being decoded, so a truncated buffer can
-// never yield a value. Nothing else in src/ splits or assembles integers
-// byte by byte (rsm-lint rule one-wire-codec).
+// samples, batch replies) move in bulk: put_reals writes the bytes of a
+// put_real loop with one memcpy on little-endian hosts, and
+// WireReader::reals hands back a RealsView that reads each value where it
+// lies in the buffer, at any alignment, without copying the array. The
+// writer appends to a caller-owned std::string (the unit both
+// atomic_write_file and the socket send path consume); the reader is
+// bounds-checked and fails closed with a structured IoError naming the
+// artifact being decoded, so a truncated buffer can never yield a value.
+// Nothing else in src/ splits or assembles integers byte by byte (rsm-lint
+// rule one-wire-codec).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -38,6 +42,47 @@ void put_reals(std::string& out, std::span<const Real> values);
 /// u32 byte count followed by the raw bytes.
 void put_bytes(std::string& out, std::string_view bytes);
 
+/// `size()` reals written by put_reals or put_real, read in place from the
+/// buffer a WireReader views: element i is the value real() would return
+/// for it. Only WireReader::reals makes one, after checking that every byte
+/// is present; it views the reader's buffer, so it must not outlive it.
+class RealsView {
+ public:
+  RealsView() = default;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  [[nodiscard]] Real operator[](std::size_t i) const {
+    RSM_DCHECK(i < size_);
+    const char* p = bytes_ + i * sizeof(Real);
+    if constexpr (std::endian::native == std::endian::little) {
+      Real v;
+      std::memcpy(&v, p, sizeof v);
+      return v;
+    } else {
+      return decode(p);
+    }
+  }
+
+  /// The `count` values from `offset` on, as std::span::subspan.
+  [[nodiscard]] RealsView subspan(std::size_t offset,
+                                  std::size_t count) const {
+    RSM_DCHECK(offset <= size_ && count <= size_ - offset);
+    return RealsView(bytes_ + offset * sizeof(Real), count);
+  }
+
+ private:
+  friend class WireReader;
+  RealsView(const char* bytes, std::size_t size)
+      : bytes_(bytes), size_(size) {}
+
+  /// The real WireReader::real decodes from the 8 bytes at `p`.
+  [[nodiscard]] static Real decode(const char* p);
+
+  const char* bytes_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 /// Bounds-checked little-endian reader. Every accessor verifies the bytes
 /// it needs exist before touching them and throws IoError("<context>: ...")
 /// on overrun — decoding a hostile or truncated buffer is safe by
@@ -53,10 +98,10 @@ class WireReader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] Real real();
 
-  /// Fills `out` with out.size() reals written by put_reals or put_real.
-  /// Checks that all of them are present before writing any: on a short
-  /// buffer it throws, leaving `out` and position() unchanged.
-  void reals(std::span<Real> out);
+  /// A view of the next `count` reals, which are not copied. The count is
+  /// refused against the bytes left before anything is sized from it: on a
+  /// short buffer it throws, leaving position() unchanged.
+  [[nodiscard]] RealsView reals(std::uint64_t count);
 
   /// Length-prefixed byte string written by put_bytes. The declared length
   /// is validated against the remaining buffer before any allocation.

@@ -1,5 +1,7 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "io/crc32.hpp"
@@ -58,6 +60,39 @@ std::optional<FrameView> peek_frame(std::string_view buffer) {
   const std::string_view payload =
       buffer.substr(kFrameHeaderBytes, payload_len);
   return FrameView{static_cast<MessageType>(type), payload, frame_bytes};
+}
+
+std::span<char> FrameBuffer::read_window() {
+  std::size_t want = kReadChunk;
+  if (size_ >= kFrameHeaderBytes) {
+    io::WireReader header(view().substr(0, kFrameHeaderBytes),
+                          "frame header");
+    (void)header.u32();  // magic
+    (void)header.u8();   // type
+    const std::size_t frame_bytes =
+        kFrameHeaderBytes + std::size_t{header.u32()} + 4;
+    if (frame_bytes > size_) want = std::max(want, frame_bytes - size_);
+  }
+  want = std::min(want, size_ + kReadChunk);
+  if (capacity_ - size_ < want) {
+    const std::size_t grown_capacity = size_ + want;
+    auto grown = std::make_unique_for_overwrite<char[]>(grown_capacity);
+    if (size_ > 0) std::memcpy(grown.get(), data_.get(), size_);
+    data_ = std::move(grown);
+    capacity_ = grown_capacity;
+  }
+  return {data_.get() + size_, capacity_ - size_};
+}
+
+void FrameBuffer::commit(std::size_t n) {
+  RSM_CHECK(n <= capacity_ - size_);
+  size_ += n;
+}
+
+void FrameBuffer::consume(std::size_t n) {
+  RSM_CHECK(n <= size_);
+  size_ -= n;
+  if (n > 0 && size_ > 0) std::memmove(data_.get(), data_.get() + n, size_);
 }
 
 std::optional<Frame> try_extract_frame(std::string& buffer) {

@@ -16,7 +16,9 @@
 // try_extract_frame() is peek_frame plus a copy of the payload and the
 // erase of the frame's bytes. After a malformed frame the stream offset is
 // unknowable, so the server replies with an error frame and closes the
-// connection instead of guessing a resync point.
+// connection instead of guessing a resync point. FrameBuffer is the
+// server's receive buffer: recv(2) writes into it directly, each read sized
+// from the frame header already buffered.
 //
 // Payload layouts (all io/wire.hpp little-endian; `bytes` = u32 len + raw):
 //
@@ -44,7 +46,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -97,6 +101,43 @@ struct FrameView {
 /// it. Returns nullopt while the buffer holds only a prefix of a frame;
 /// throws ProtocolError when the bytes at the front cannot be a valid frame.
 [[nodiscard]] std::optional<FrameView> peek_frame(std::string_view buffer);
+
+/// A receive buffer the kernel writes into directly: read_window() is the
+/// free space a recv(2) fills, commit() counts what it wrote, and the
+/// frames at the front are checked and handled in place through view().
+/// Memory is never zero-filled.
+class FrameBuffer {
+ public:
+  /// The least a read asks for.
+  static constexpr std::size_t kReadChunk = 64u << 10;
+
+  /// Free space for the next read, valid until the next non-const call. It
+  /// is at least kReadChunk bytes and covers the rest of the frame whose
+  /// header is at the front, but the buffer grows only to twice the bytes
+  /// it holds plus kReadChunk: a header alone cannot make it reserve the
+  /// payload the header declares, and a large frame's window doubles per
+  /// read. Growing copies the bytes held, which a connection pays only
+  /// while its largest frame so far arrives.
+  [[nodiscard]] std::span<char> read_window();
+
+  /// Counts `n` bytes written at the front of the last read_window().
+  void commit(std::size_t n);
+
+  /// Drops the first `n` bytes (the frames handled) and moves what remains
+  /// — at most a partial frame — to the front.
+  void consume(std::size_t n);
+
+  [[nodiscard]] std::string_view view() const {
+    return {data_.get(), size_};
+  }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+
+ private:
+  std::unique_ptr<char[]> data_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
 
 /// Pops one complete frame off the front of `buffer` (erasing its bytes):
 /// peek_frame, then a copy of the payload. Returns and throws as peek_frame

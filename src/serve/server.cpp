@@ -50,26 +50,19 @@ auto parse_payload(const char* request_name, Fn&& fn) {
   }
 }
 
-/// `count` reals, with the count refused against the bytes left before
-/// anything is allocated for it: a request header cannot make the server
-/// reserve memory its payload does not carry.
-std::vector<Real> read_reals(io::WireReader& in, std::uint64_t count) {
-  if (count > in.remaining() / sizeof(Real)) {
-    std::ostringstream os;
-    os << "declares " << count << " values but carries " << in.remaining()
-       << " bytes";
-    throw IoError(os.str());
-  }
-  std::vector<Real> values(static_cast<std::size_t>(count));
-  in.reals(values);
-  return values;
+/// One recv(2) straight into `rx`; returns what recv returned.
+ssize_t receive(FrameBuffer& rx, int fd, int flags) {
+  const std::span<char> window = rx.read_window();
+  const ssize_t n = ::recv(fd, window.data(), window.size(), flags);
+  if (n > 0) rx.commit(static_cast<std::size_t>(n));
+  return n;
 }
 
 }  // namespace
 
 struct ModelServer::Connection {
   int fd = -1;
-  std::string rx;
+  FrameBuffer rx;
   std::string tx;
   bool closed = false;
   /// Stream is done (framing error, read timeout): stop reading, flush the
@@ -211,14 +204,14 @@ std::string ModelServer::handle_eval(std::string_view payload) {
   struct Parsed {
     std::string name;
     std::uint32_t version;
-    std::vector<Real> sample;
+    io::RealsView sample;  // in place in the receive buffer
   };
   const Parsed parsed = parse_payload("eval", [&] {
     io::WireReader in(payload, "eval request");
     Parsed p;
     p.name = in.bytes();
     p.version = in.u32();
-    p.sample = read_reals(in, in.u32());
+    p.sample = in.reals(in.u32());
     in.expect_done();
     return p;
   });
@@ -246,7 +239,7 @@ std::string ModelServer::handle_eval_batch(std::string_view payload) {
     std::uint32_t version;
     Index rows;
     Index cols;
-    std::vector<Real> samples;
+    io::RealsView samples;  // row-major, in place in the receive buffer
   };
   const Parsed parsed = parse_payload("eval_batch", [&] {
     io::WireReader in(payload, "eval_batch request");
@@ -257,7 +250,7 @@ std::string ModelServer::handle_eval_batch(std::string_view payload) {
     const std::uint32_t cols = in.u32();
     p.rows = static_cast<Index>(rows);
     p.cols = static_cast<Index>(cols);
-    p.samples = read_reals(in, std::uint64_t{rows} * cols);
+    p.samples = in.reals(std::uint64_t{rows} * cols);
     in.expect_done();
     return p;
   });
@@ -276,16 +269,17 @@ std::string ModelServer::handle_eval_batch(std::string_view payload) {
     model.predict_batch(parsed.samples, parsed.rows, out);
   } else {
     // Fan the request across the pool and this thread in `chunk`-row
-    // slices; each writes a disjoint range of `out`. A chunk that throws
-    // fails the whole request through the error frame below.
+    // slices; each reads its rows from the receive buffer, which nothing
+    // writes until parallel_for returns, and writes a disjoint range of
+    // `out`. A chunk that throws fails the whole request through the error
+    // frame below.
     const Index chunks = (parsed.rows + chunk - 1) / chunk;
     pool_.parallel_for(static_cast<std::size_t>(chunks), [&](std::size_t c) {
       const Index r0 = static_cast<Index>(c) * chunk;
       const Index nb = std::min(chunk, parsed.rows - r0);
-      const std::size_t offset = static_cast<std::size_t>(r0 * parsed.cols);
       model.predict_batch(
-          std::span<const Real>(parsed.samples.data() + offset,
-                                static_cast<std::size_t>(nb * parsed.cols)),
+          parsed.samples.subspan(static_cast<std::size_t>(r0 * parsed.cols),
+                                 static_cast<std::size_t>(nb * parsed.cols)),
           nb, std::span<Real>(out.data() + r0, static_cast<std::size_t>(nb)));
     });
   }
@@ -487,8 +481,7 @@ void ModelServer::flush_connection(Connection& connection) {
 }
 
 void ModelServer::service_connection(Connection& connection) {
-  char buf[65536];
-  const ssize_t n = ::recv(connection.fd, buf, sizeof(buf), 0);
+  const ssize_t n = receive(connection.rx, connection.fd, 0);
   if (n == 0) {
     connection.closed = true;
     return;
@@ -498,7 +491,6 @@ void ModelServer::service_connection(Connection& connection) {
       connection.closed = true;
     return;
   }
-  connection.rx.append(buf, static_cast<std::size_t>(n));
   if (options_.idle_timeout_seconds > 0)
     connection.idle_deadline =
         Deadline::after_seconds(options_.idle_timeout_seconds);
@@ -507,13 +499,13 @@ void ModelServer::service_connection(Connection& connection) {
 
 void ModelServer::drain_connection(Connection& connection) {
   // Frames are checked and handled in place in rx; `consumed` counts the
-  // bytes of those already answered (or shed), erased once at the end.
+  // bytes of those already answered (or shed), dropped once at the end.
   std::size_t frames_extracted = 0;
   std::size_t consumed = 0;
   while (!connection.closed && !connection.close_after_flush) {
     std::optional<FrameView> frame;
     try {
-      frame = peek_frame(std::string_view(connection.rx).substr(consumed));
+      frame = peek_frame(connection.rx.view().substr(consumed));
     } catch (const ProtocolError& e) {
       // The stream offset is unknowable after a framing error: answer with
       // a structured error frame, then close rather than resync-guess. The
@@ -561,7 +553,7 @@ void ModelServer::drain_connection(Connection& connection) {
     obs::metrics().counter("serve.requests_admitted").increment();
     queue_frame(connection, handle_request(*frame));
   }
-  connection.rx.erase(0, consumed);
+  connection.rx.consume(consumed);
 
   // Read-deadline bookkeeping: armed while a partial frame sits in rx, and
   // re-armed whenever a frame completed this pass — so a slow-loris client
@@ -683,11 +675,8 @@ void ModelServer::run() {
     accept_ready();
   }
   for (auto& [fd, connection] : connections_) {
-    char buf[65536];
-    while (!connection->closed) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-      if (n <= 0) break;
-      connection->rx.append(buf, static_cast<std::size_t>(n));
+    while (!connection->closed &&
+           receive(connection->rx, fd, MSG_DONTWAIT) > 0) {
     }
     if (!connection->closed) drain_connection(*connection);
     // Flush whatever the opportunistic sends left behind, bounded by the

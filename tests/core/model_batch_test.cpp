@@ -2,20 +2,24 @@
 // memoized scalar path it shares a plan with): predict_batch must reproduce
 // predict bit for bit, predict itself must reproduce the pre-memoization
 // reference arithmetic — a term-by-term sum of coefficient * per-factor
-// Hermite products — and gradient/gradient_batch must reproduce the
-// factor-by-factor reference gradient. The serving layer advertises "same
-// model, same bits" across the registry round trip and the scalar/batched
-// split; these tests are that claim.
+// Hermite products — gradient/gradient_batch must reproduce the
+// factor-by-factor reference gradient, and samples viewed in wire bytes at
+// any alignment must predict what native spans do. The serving layer
+// advertises "same model, same bits" across the registry round trip, the
+// scalar/batched split and the wire; these tests are that claim.
 #include "core/model.hpp"
 
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "basis/hermite.hpp"
+#include "io/wire.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
 
@@ -132,6 +136,47 @@ TEST(ModelBatch, RawSpanOverloadMatchesMatrixOverload) {
       30, tail);
   for (std::size_t r = 0; r < 30; ++r)
     ASSERT_TRUE(same_bits(tail[r], via_matrix[r + 60])) << "r=" << r;
+}
+
+TEST(ModelBatch, WireViewAtEveryAlignmentMatchesNativeSpans) {
+  // The server predicts from samples where they lie in its receive buffer,
+  // at whatever byte offset the frame put them. At offsets 0-7, over rows
+  // that span two 64-row blocks, scalar and batch prediction through the
+  // view must reproduce predict and predict_batch on native spans.
+  const SparseModel model = mixed_model(5);
+  Rng rng(71);
+  const Index rows = 100;
+  const std::size_t cols = 5;
+  const Matrix samples = monte_carlo_normal(rows, 5, rng);
+  const std::span<const Real> native(samples.data(),
+                                     static_cast<std::size_t>(samples.size()));
+  std::vector<Real> want(static_cast<std::size_t>(rows));
+  model.predict_batch(native, rows, want);
+
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::string bytes(offset, '\x5a');
+    io::put_reals(bytes, native);
+    io::WireReader in(bytes, "samples");
+    (void)in.raw(offset);
+    const io::RealsView view = in.reals(native.size());
+
+    std::vector<Real> got(static_cast<std::size_t>(rows));
+    model.predict_batch(view, rows, got);
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      ASSERT_TRUE(same_bits(got[r], want[r]))
+          << "offset " << offset << " row " << r;
+      ASSERT_TRUE(same_bits(model.predict(view.subspan(r * cols, cols)),
+                            model.predict(native.subspan(r * cols, cols))))
+          << "offset " << offset << " row " << r;
+    }
+    // A sub-range starting inside the first block, as a server pool part
+    // takes it.
+    std::vector<Real> part(40);
+    model.predict_batch(view.subspan(50 * cols, 40 * cols), 40, part);
+    for (std::size_t r = 0; r < part.size(); ++r)
+      ASSERT_TRUE(same_bits(part[r], want[r + 50]))
+          << "offset " << offset << " part row " << r;
+  }
 }
 
 TEST(ModelBatch, GradientBatchBitIdenticalToScalar) {

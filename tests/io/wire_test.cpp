@@ -208,11 +208,11 @@ TEST(Wire, RealsRoundTripEveryBitPattern) {
 
   WireReader in(bytes, kContext);
   EXPECT_EQ(in.u8(), 0x17u);
-  std::array<Real, kNumExtremeReals> bulk{};
-  in.reals(bulk);
-  std::array<Real, kNumExtremeReals> from_put_real{};
-  in.reals(from_put_real);
+  const RealsView bulk = in.reals(kNumExtremeReals);
+  const RealsView from_put_real = in.reals(kNumExtremeReals);
   EXPECT_NO_THROW(in.expect_done());
+  ASSERT_EQ(bulk.size(), values.size());
+  ASSERT_EQ(from_put_real.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk[i]),
               std::bit_cast<std::uint64_t>(values[i]))
@@ -233,16 +233,21 @@ TEST(Wire, RealsOneByteShortThrowsAndWritesNothing) {
   WireReader in(bytes, kContext);
   ASSERT_EQ(in.u32(), 3u);
   const std::size_t before = in.position();
-  std::array<Real, 3> out = {42.0, 42.0, 42.0};
   try {
-    in.reals(out);
-    FAIL() << "reals read past a buffer one byte short";
+    (void)in.reals(3);
+    FAIL() << "reals viewed past a buffer one byte short";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find(kContext), std::string::npos)
         << e.what();
   }
   EXPECT_EQ(in.position(), before);
-  for (const Real v : out) EXPECT_EQ(v, 42.0);
+  // A count whose byte size overflows 64 bits is refused the same way.
+  EXPECT_THROW((void)in.reals(~std::uint64_t{0}), IoError);
+  EXPECT_EQ(in.position(), before);
+  // The reader is still usable: the values that are whole read back.
+  const RealsView whole = in.reals(2);
+  EXPECT_EQ(whole[0], 1.5);
+  EXPECT_EQ(whole[1], -2.25);
 }
 
 }  // namespace

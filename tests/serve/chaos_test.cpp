@@ -1,4 +1,5 @@
-// Socket chaos harness: the overload / deadline / reload defenses under
+// Socket chaos harness: the overload / deadline / reload defenses and the
+// receive path (pipelined frames, a frame trickled byte by byte) under
 // deterministic abuse. Connections are socketpair ends adopted via
 // adopt_connection() and every event-loop cycle is an explicit poll_once()
 // call, so each scenario is a scripted sequence with exact expected
@@ -19,13 +20,16 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "io/crc32.hpp"
 #include "io/wire.hpp"
+#include "stats/lhs.hpp"
 #include "stats/rng.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
@@ -256,6 +260,122 @@ TEST(FaultSchedulePins, SocketLayer) {
   fold({.fault_rate = 0.8, .seed = 4242});
   fold({.fault_rate = 1.0, .seed = 99});
   EXPECT_EQ(hash, 0xe9663550e1218286ull);
+}
+
+// ---- The receive path: samples are read where the kernel wrote them. ----
+
+TEST_F(ChaosTest, PipelinedFramesAtEveryAlignmentMatchInProcessPredict) {
+  // One write carries eval and eval_batch frames, alternating, under model
+  // names of lengths 1-8, which puts their sample arrays at every offset
+  // mod 8 of the receive buffer; one batch is longer than batch_chunk and
+  // goes to the pool. Each reply must carry the bytes of in-process
+  // prediction, in request order, after one poll cycle. The write ends
+  // with the start of one more eval, which must wait, moved to the front
+  // of the buffer, for the write that completes it.
+  std::vector<std::string> names;
+  for (std::size_t length = 1; length <= 8; ++length) {
+    names.push_back(std::string("m").append(length - 1, 'x'));
+    if (length > 1) registry_->save(names.back(), model_);
+  }
+  ServerOptions options;
+  options.batch_chunk = 8;
+  start(std::move(options));
+  PairClient client;
+  client.connect(*server_);
+
+  Rng rng(61);
+  std::string wire;
+  std::vector<std::pair<MessageType, std::string>> expected;
+  std::set<std::size_t> sample_offsets_mod_8;
+  for (std::size_t i = 0; i < 2 * names.size(); ++i) {
+    const bool batch = i % 2 == 1;
+    const Index rows = batch ? (i == 3 ? 70 : 3) : 1;
+    const Matrix points = monte_carlo_normal(rows, kVars, rng);
+    std::string payload;
+    io::put_bytes(payload, names[i % names.size()]);
+    io::put_u32(payload, 0);
+    if (batch) io::put_u32(payload, static_cast<std::uint32_t>(rows));
+    io::put_u32(payload, static_cast<std::uint32_t>(kVars));
+    sample_offsets_mod_8.insert(
+        (wire.size() + kFrameHeaderBytes + payload.size()) % 8);
+    for (Index r = 0; r < rows; ++r) io::put_reals(payload, points.row(r));
+    wire += encode_frame(
+        batch ? MessageType::kEvalBatchRequest : MessageType::kEvalRequest,
+        payload);
+
+    std::string reply;
+    if (batch) {
+      std::vector<Real> predicted(static_cast<std::size_t>(rows));
+      model_.predict_batch(points, predicted);
+      io::put_u32(reply, static_cast<std::uint32_t>(rows));
+      io::put_reals(reply, predicted);
+    } else {
+      io::put_real(reply, model_.predict(points.row(0)));
+    }
+    expected.emplace_back(batch ? MessageType::kEvalBatchResponse
+                                : MessageType::kEvalResponse,
+                          std::move(reply));
+  }
+  EXPECT_EQ(sample_offsets_mod_8.size(), 8u);
+  const std::vector<Real> last = {0.3, -0.7, 1.1, -1.9};
+  const std::string last_frame = eval_frame(last);
+  const std::size_t split = last_frame.size() / 2 + 1;  // in the samples
+  ASSERT_LE(wire.size() + split, FrameBuffer::kReadChunk);  // one read
+
+  client.send_raw(wire + last_frame.substr(0, split));
+  server_->poll_once(0);
+  client.pump();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const std::optional<Frame> reply = client.next_frame();
+    ASSERT_TRUE(reply.has_value()) << "reply " << i << " missing";
+    EXPECT_EQ(reply->type, expected[i].first) << "reply " << i;
+    EXPECT_EQ(reply->payload, expected[i].second) << "reply " << i;
+  }
+  EXPECT_FALSE(client.next_frame().has_value());
+
+  client.send_raw(last_frame.substr(split));
+  server_->poll_once(0);
+  client.pump();
+  const std::optional<Frame> reply = client.next_frame();
+  ASSERT_TRUE(reply.has_value()) << "the split eval was not answered";
+  ASSERT_EQ(reply->type, MessageType::kEvalResponse);
+  io::WireReader in(reply->payload, "split eval");
+  EXPECT_TRUE(same_bits(in.real(), model_.predict(last)));
+  EXPECT_EQ(server_->stats().requests_admitted, expected.size() + 1);
+  EXPECT_EQ(server_->stats().request_errors, 0u);
+}
+
+TEST_F(ChaosTest, FrameFedOneByteAtATimeIsAnsweredOnce) {
+  // One byte per poll cycle splits the header at every offset, and every
+  // read after it is sized from a partial frame: the eval is answered
+  // exactly once, after its last byte, with the in-process bits.
+  start(ServerOptions{});
+  PairClient client;
+  client.connect(*server_);
+  const std::vector<Real> point = {0.125, -1.5, 2.0, 0.75};
+  const std::string frame = eval_frame(point);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    client.send_raw(frame.substr(i, 1));
+    server_->poll_once(0);
+    client.pump();
+    if (i + 1 < frame.size()) {
+      ASSERT_FALSE(client.next_frame().has_value())
+          << "answered after " << i + 1 << " of " << frame.size()
+          << " bytes";
+    }
+  }
+  const std::optional<Frame> reply = client.next_frame();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MessageType::kEvalResponse);
+  io::WireReader in(reply->payload, "trickled eval");
+  EXPECT_TRUE(same_bits(in.real(), model_.predict(point)));
+
+  server_->poll_once(0);
+  client.pump();
+  EXPECT_FALSE(client.next_frame().has_value());
+  EXPECT_EQ(server_->stats().requests_served, 1u);
+  EXPECT_EQ(server_->stats().protocol_errors, 0u);
+  EXPECT_FALSE(client.at_eof());
 }
 
 // ---- Overload: shedding is per offender, never global. ----

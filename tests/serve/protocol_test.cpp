@@ -1,14 +1,18 @@
 // Framing contract: frames survive arbitrary fragmentation and
 // concatenation, and every structural violation — bad magic, oversized
 // payload, checksum mismatch — is a ProtocolError before any payload byte
-// is interpreted.
+// is interpreted. The receive buffer sizes each read from the buffered
+// header, but a header alone cannot make it reserve the payload declared.
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -250,6 +254,98 @@ TEST(Protocol, EveryTruncationAndBitFlipFailsClosed) {
   }
   EXPECT_GT(rejected, 0u);
   EXPECT_LT(rejected, attempts);
+}
+
+/// What one recv(2) does to a FrameBuffer: writes `bytes` at the front of
+/// its read window and commits them.
+void receive(FrameBuffer& buffer, std::string_view bytes) {
+  const std::span<char> window = buffer.read_window();
+  ASSERT_LE(bytes.size(), window.size());
+  std::memcpy(window.data(), bytes.data(), bytes.size());
+  buffer.commit(bytes.size());
+}
+
+/// A frame header declaring `payload_len` bytes of eval_batch payload.
+std::string frame_header(std::uint32_t payload_len) {
+  std::string header;
+  io::put_u32(header, kFrameMagic);
+  io::put_u8(header,
+             static_cast<std::uint8_t>(MessageType::kEvalBatchRequest));
+  io::put_u32(header, payload_len);
+  return header;
+}
+
+TEST(FrameBufferTest, LoneHeaderCannotReserveItsDeclaredPayload) {
+  // A 9-byte header that declares the 16 MiB cap, then silence: the buffer
+  // may reserve kReadChunk beyond what it holds, not the declared payload.
+  FrameBuffer buffer;
+  EXPECT_EQ(buffer.read_window().size(), FrameBuffer::kReadChunk);
+  const std::string header =
+      frame_header(static_cast<std::uint32_t>(kMaxFramePayload));
+  receive(buffer, header);
+  EXPECT_EQ(buffer.read_window().size(),
+            FrameBuffer::kReadChunk + header.size());
+  EXPECT_EQ(buffer.capacity(), 2 * header.size() + FrameBuffer::kReadChunk);
+  EXPECT_EQ(buffer.view(), header);
+
+  // A peer that does send the whole payload still gets it in a handful of
+  // reads: the window doubles with the bytes held, and the buffer never
+  // reserves more than twice what arrived plus one chunk.
+  const std::size_t frame_bytes = kFrameHeaderBytes + kMaxFramePayload + 4;
+  int reads = 0;
+  while (buffer.view().size() < frame_bytes) {
+    const std::span<char> window = buffer.read_window();
+    ASSERT_LE(buffer.capacity(),
+              2 * buffer.view().size() + FrameBuffer::kReadChunk);
+    const std::size_t n =
+        std::min(window.size(), frame_bytes - buffer.view().size());
+    std::memset(window.data(), 0x33, n);
+    buffer.commit(n);
+    ++reads;
+  }
+  EXPECT_LE(reads, 10);
+  EXPECT_LE(buffer.capacity(), frame_bytes + FrameBuffer::kReadChunk);
+}
+
+TEST(FrameBufferTest, ReadWindowCoversTheRestOfTheFrame) {
+  // A 170 KB eval frame, the Table IV size: from an empty buffer one
+  // chunk, then one read for all the rest; once the buffer has held a
+  // frame that large, one read for the next.
+  std::string frame = frame_header(170'000);
+  frame.append(170'000 + 4, '\x11');
+  FrameBuffer buffer;
+  receive(buffer, std::string_view(frame).substr(0, FrameBuffer::kReadChunk));
+  EXPECT_EQ(buffer.read_window().size(),
+            frame.size() - FrameBuffer::kReadChunk);
+  receive(buffer, std::string_view(frame).substr(FrameBuffer::kReadChunk));
+  EXPECT_EQ(buffer.view(), frame);
+  buffer.consume(frame.size());
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_GE(buffer.read_window().size(), frame.size());
+
+  // A short frame still reads a whole chunk, so frames pipelined behind it
+  // arrive in the same read.
+  receive(buffer, frame_header(16));
+  EXPECT_GE(buffer.read_window().size(), FrameBuffer::kReadChunk);
+}
+
+TEST(FrameBufferTest, ConsumeKeepsOnlyTheTrailingPartialFrame) {
+  const std::string one = encode_frame(MessageType::kEvalRequest, "one");
+  const std::string two = encode_frame(MessageType::kListModelsRequest, "");
+  const std::string three = encode_frame(MessageType::kEvalRequest, "three");
+  const std::string partial = three.substr(0, 11);
+  FrameBuffer buffer;
+  receive(buffer, one + two + partial);
+  buffer.consume(0);
+  EXPECT_EQ(buffer.view(), one + two + partial);
+  buffer.consume(one.size() + two.size());
+  EXPECT_EQ(buffer.view(), partial);
+  receive(buffer, three.substr(partial.size()));
+  const std::optional<FrameView> frame = peek_frame(buffer.view());
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->payload, "three");
+  buffer.consume(frame->size);
+  EXPECT_TRUE(buffer.empty());
 }
 
 }  // namespace
