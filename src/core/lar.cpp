@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/vector_ops.hpp"
+#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/cancellation.hpp"
@@ -16,9 +18,12 @@ namespace {
 // The path stops once the largest |correlation| falls below
 // kCorrelationTolerance times its initial value; a column whose Cholesky
 // pivot is not above kPivotTolerance times its squared norm is collinear
-// with the active set and skipped.
+// with the active set and skipped; the correlations are rescanned from the
+// residual once the active set's |correlations|, equal in exact arithmetic,
+// spread by more than kDriftTolerance times their largest.
 constexpr Real kCorrelationTolerance = 1e-12;
 constexpr Real kPivotTolerance = 1e-12;
+constexpr Real kDriftTolerance = 1e-9;
 
 }  // namespace
 
@@ -83,20 +88,24 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
   std::vector<bool> in_active(static_cast<std::size_t>(num_columns), false);
   CholeskyFactorization chol(std::min(num_samples, max_steps + 1));
 
+  // c = X'r is scanned here once; each move then updates it in place.
   correlate(residual, c);
   const Real c0 = max_abs(c);
   if (c0 <= Real{0}) return path;
 
   bool just_dropped = false;
-  bool moved = false;  // the residual changed since c was last computed
+  bool stale = false;  // c has drifted from X'r and is rescanned next event
   // Each loop iteration performs one LAR event (add or drop) plus a move.
   for (Index event = 0; event < 4 * max_steps + 8; ++event) {
     RSM_TRACE_SPAN("lar.step");
     check_cooperative_stop("lar.step");
     if (static_cast<Index>(active.size()) >= max_steps && !just_dropped) break;
 
-    if (moved) correlate(residual, c);
-    moved = false;
+    if (stale) {
+      correlate(residual, c);
+      obs::metrics().counter("lar.rescans").increment();
+      stale = false;
+    }
 
     if (!just_dropped) {
       // Admit the most correlated inactive column.
@@ -189,7 +198,18 @@ SolverPath LarSolver::fit_path(const ColumnSource& source,
     for (std::size_t i = 0; i < active.size(); ++i) beta[i] += gamma * d[i];
     axpy(gamma, u, mu);
     residual = vsub(f, mu);
-    moved = true;
+    // The correlations after the move, c(gamma) = c - gamma a (Efron et al.,
+    // eq. 2.13), from the scan the step already made. The active |c| stay
+    // equal in exact arithmetic; once rounding spreads them, rescan.
+    for (std::size_t j = 0; j < c.size(); ++j) c[j] -= gamma * a[j];
+    Real c_hi = 0;
+    Real c_lo = std::numeric_limits<Real>::infinity();
+    for (Index j : active) {
+      const Real magnitude = std::abs(c[static_cast<std::size_t>(j)]);
+      c_hi = std::max(c_hi, magnitude);
+      c_lo = std::min(c_lo, magnitude);
+    }
+    stale = c_hi - c_lo > kDriftTolerance * c_hi;
 
     if (drop >= 0) {
       const Index col = active[static_cast<std::size_t>(drop)];

@@ -17,9 +17,15 @@
 //  - the active-set Gram matrix is factored by linalg's
 //    CholeskyFactorization, grown one row per admitted column (O(p^2)) and,
 //    after a LASSO drop, cleared and re-grown from the remaining columns;
-//  - per step the dominant cost is two K x M correlations (c = G'r and
-//    a = G'u), about twice OMP's one — visible in the paper's fitting-cost
-//    rows (Tables I/III/IV: LAR fitting time ~2x OMP).
+//  - per step the dominant cost is one K x M correlation, a = G'u for the
+//    equiangular vector u, as OMP's one scan is: c = G'r is scanned once at
+//    the start and each move then updates it in place, c -= gamma a
+//    (Efron et al., eq. 2.13), so a whole path costs about one
+//    least-squares fit (their Section 7);
+//  - the active columns' |c| are equal in exact arithmetic, so their spread
+//    measures the update's rounding drift: once it exceeds 1e-9 of the
+//    largest, the next event rescans c from the residual f - mu (counted
+//    by the lar.rescans metric).
 #pragma once
 
 #include "core/solver_path.hpp"

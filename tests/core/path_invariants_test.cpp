@@ -20,35 +20,13 @@
 #include "core/omp.hpp"
 #include "linalg/vector_ops.hpp"
 #include "stats/rng.hpp"
+#include "support/designs.hpp"
 
 namespace rsm {
 namespace {
 
 constexpr Index kRows = 60;
 constexpr Index kColumns = 200;
-
-/// K x M standard-normal design whose columns have pairwise correlation
-/// rho: G(i, j) = sqrt(1 - rho) u_ij + sqrt(rho) z_i.
-Matrix correlated_design(Real rho, Rng& rng) {
-  Matrix g(kRows, kColumns);
-  for (Index i = 0; i < kRows; ++i) {
-    const Real z = std::sqrt(rho) * rng.normal();
-    for (Index j = 0; j < kColumns; ++j)
-      g(i, j) = std::sqrt(1 - rho) * rng.normal() + z;
-  }
-  return g;
-}
-
-/// Eight columns of g with mixed-sign weights, plus noise.
-std::vector<Real> sparse_response(const Matrix& g, Rng& rng) {
-  std::vector<Real> f(static_cast<std::size_t>(g.rows()));
-  for (Real& v : f) v = 0.1 * rng.normal();
-  for (int t = 0; t < 8; ++t) {
-    const Real weight = (t % 2 == 0 ? 1 : -1) * (1 + rng.uniform());
-    axpy(weight, g.col(rng.uniform_index(g.cols())), f);
-  }
-  return f;
-}
 
 /// f - G a for the coefficients of step t.
 std::vector<Real> step_residual(const Matrix& g, const std::vector<Real>& f,
@@ -79,8 +57,8 @@ class LarPathInvariants
 TEST_P(LarPathInvariants, EquiangularOverTheWholePath) {
   const auto [rho, lasso] = GetParam();
   Rng rng(2101);
-  const Matrix g = correlated_design(rho, rng);
-  const std::vector<Real> f = sparse_response(g, rng);
+  const Matrix g = normal_correlated_design(kRows, kColumns, rho, rng);
+  const std::vector<Real> f = normal_sparse_response(g, rng);
   LarSolver::Options options;
   options.lasso = lasso;
   const SolverPath path =
@@ -143,8 +121,8 @@ class OmpPathInvariants : public ::testing::TestWithParam<double> {};
 
 TEST_P(OmpPathInvariants, ResidualOrthogonalToEveryActiveColumn) {
   Rng rng(2102);
-  const Matrix g = correlated_design(GetParam(), rng);
-  const std::vector<Real> f = sparse_response(g, rng);
+  const Matrix g = normal_correlated_design(kRows, kColumns, GetParam(), rng);
+  const std::vector<Real> f = normal_sparse_response(g, rng);
   const SolverPath path =
       OmpSolver().fit_path(MaterializedSource(g), f, kRows);
   ASSERT_GE(path.num_steps(), kRows / 2);

@@ -6,6 +6,13 @@
 // underneath them must leave every bit where it was; a change that moves one
 // has to say so and re-pin. The folds run concurrently on the shared pool, so
 // the cross-validation hashes must hold for any RSM_THREADS.
+//
+// LAR's integer path (selection order and active sets; for cross-validation,
+// the chosen lambda and each fold's path length) is pinned apart from its
+// floats. Its correlations are updated in place, so a change to that
+// arithmetic may move the floats by rounding and re-pin them, but never
+// which columns a path selects: those hashes were printed by the two-scan
+// loop that rescanned the correlations at every step.
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +29,8 @@
 #include "linalg/incremental_qr.hpp"
 #include "linalg/qr.hpp"
 #include "stats/rng.hpp"
+#include "support/designs.hpp"
+#include "support/lar_two_scan.hpp"
 
 namespace rsm {
 namespace {
@@ -57,6 +66,11 @@ std::uint64_t hash_path(const SolverPath& path) {
       .value();
 }
 
+/// The integer part of a path: which columns it selects, step by step.
+std::uint64_t hash_integer_path(const SolverPath& path) {
+  return BitHash().add(path.selection_order).add(path.active_sets).value();
+}
+
 std::uint64_t hash_cv(const CrossValidationResult& cv) {
   return BitHash()
       .add(cv.fold_curves)
@@ -66,45 +80,13 @@ std::uint64_t hash_cv(const CrossValidationResult& cv) {
       .value();
 }
 
-/// rows x cols entries drawn from Rng::uniform(-1, 1). Only uniform draws
-/// and IEEE-exact arithmetic feed these inputs, so no libm version can move
-/// their bits.
-Matrix uniform_matrix(Index rows, Index cols, Rng& rng) {
-  Matrix a(rows, cols);
-  for (Index i = 0; i < rows; ++i)
-    for (Index j = 0; j < cols; ++j) a(i, j) = rng.uniform(-1, 1);
-  return a;
-}
-
-std::vector<Real> uniform_vector(Index n, Rng& rng) {
-  std::vector<Real> v(static_cast<std::size_t>(n));
-  for (Real& x : v) x = rng.uniform(-1, 1);
-  return v;
-}
-
-/// K x M design whose columns share a row component, G(i, j) = u_ij +
-/// 0.8 z_i, so they are correlated and LASSO drops variables along the path.
-Matrix correlated_design(Index k, Index m, Rng& rng) {
-  Matrix g = uniform_matrix(k, m, rng);
-  for (Index i = 0; i < k; ++i) {
-    const Real z = 0.8 * rng.uniform(-1, 1);
-    for (Index j = 0; j < m; ++j) g(i, j) += z;
-  }
-  return g;
-}
-
-/// A sparse response: `terms` columns of g with mixed-sign weights, plus
-/// uniform noise.
-std::vector<Real> sparse_response(const Matrix& g, Index terms, Rng& rng) {
-  std::vector<Real> f = uniform_vector(g.rows(), rng);
-  for (Real& v : f) v *= 0.05;
-  for (Index t = 0; t < terms; ++t) {
-    const Index j = rng.uniform_index(g.cols());
-    const Real weight = (t % 2 == 0 ? 1 : -1) * (1 + rng.uniform());
-    for (Index i = 0; i < g.rows(); ++i)
-      f[static_cast<std::size_t>(i)] += weight * g(i, j);
-  }
-  return f;
+/// The integer part of a cross-validation run: the chosen lambda and each
+/// fold's path length.
+std::uint64_t hash_integer_cv(const CrossValidationResult& cv) {
+  std::vector<Index> lengths{cv.best_lambda};
+  for (const std::vector<Real>& curve : cv.fold_curves)
+    lengths.push_back(static_cast<Index>(curve.size()));
+  return BitHash().add(lengths).value();
 }
 
 /// Number of path steps whose support is smaller than the step before.
@@ -123,15 +105,15 @@ struct SolverCase {
 SolverCase solver_case(Index k, Index m, std::uint64_t seed) {
   Rng rng(seed);
   SolverCase c;
-  c.g = correlated_design(k, m, rng);
-  c.f = sparse_response(c.g, 12, rng);
+  c.g = uniform_correlated_design(k, m, rng);
+  c.f = uniform_sparse_response(c.g, 12, rng);
   return c;
 }
 
 Matrix somp_responses(const Matrix& g, Rng& rng) {
   Matrix responses(g.rows(), 3);
   for (Index r = 0; r < 3; ++r)
-    responses.set_col(r, sparse_response(g, 6, rng));
+    responses.set_col(r, uniform_sparse_response(g, 6, rng));
   return responses;
 }
 
@@ -156,8 +138,24 @@ TEST(PinnedBits, LarPureAndLassoPaths) {
   ASSERT_EQ(pure.num_steps(), 100);
   ASSERT_EQ(dropping.num_steps(), 132);
   EXPECT_GE(count_drops(dropping), 1);  // the rebuild after a drop is pinned
-  EXPECT_EQ(hash_path(pure), 0x4e83e7f733cc9c8dull);
-  EXPECT_EQ(hash_path(dropping), 0x1a4f9586d2de32bdull);
+  EXPECT_EQ(hash_integer_path(pure), 0x092c18b5ef037c90ull);
+  EXPECT_EQ(hash_integer_path(dropping), 0xe2163af5e888b66cull);
+  EXPECT_EQ(hash_path(pure), 0x5903be99e5af4a22ull);
+  EXPECT_EQ(hash_path(dropping), 0xef43a8e4320f63b4ull);
+}
+
+// The two-scan reference that lar_one_scan_test.cpp holds LarSolver to is,
+// bit for bit, the loop LarSolver ran while it rescanned its correlations at
+// every step: these are the hashes LarPureAndLassoPaths pinned for it.
+TEST(PinnedBits, TwoScanLarReference) {
+  const SolverCase c = solver_case(120, 600, 1901);
+  const MaterializedSource source(c.g);
+  LarSolver::Options lasso;
+  lasso.lasso = true;
+  EXPECT_EQ(hash_path(TwoScanLarSolver().fit_path(source, c.f, 100)),
+            0x4e83e7f733cc9c8dull);
+  EXPECT_EQ(hash_path(TwoScanLarSolver(lasso).fit_path(source, c.f, 100)),
+            0x1a4f9586d2de32bdull);
 }
 
 TEST(PinnedBits, OmpPath) {
@@ -172,7 +170,8 @@ TEST(PinnedBits, CrossValidationLar) {
       CrossValidator().run(LarSolver(), c.g, c.f, 80);
   ASSERT_EQ(cv.skipped_folds, 0);
   EXPECT_EQ(cv.best_lambda, 64);
-  EXPECT_EQ(hash_cv(cv), 0x9f944b571d4eddfcull);
+  EXPECT_EQ(hash_integer_cv(cv), 0x18eede119b535760ull);
+  EXPECT_EQ(hash_cv(cv), 0x9a00669215dcf73aull);
 }
 
 TEST(PinnedBits, CrossValidationOmp) {
