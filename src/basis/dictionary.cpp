@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "basis/hermite.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsm {
 
@@ -62,11 +63,23 @@ std::vector<Real> BasisDictionary::evaluate_column(Index m,
 }
 
 Matrix BasisDictionary::design_matrix(const Matrix& samples) const {
+  return design_matrix(samples, shared_pool());
+}
+
+Matrix BasisDictionary::design_matrix(const Matrix& samples,
+                                      ThreadPool* pool) const {
   RSM_CHECK(samples.cols() == num_variables_);
-  Matrix g(samples.rows(), size());
-  std::vector<Real> table;
-  for (Index k = 0; k < samples.rows(); ++k)
-    evaluate_row(samples.row(k), table, g.row(k));
+  // Every row is written in full below, so G skips the zero-fill.
+  Matrix g = Matrix::for_overwrite(samples.rows(), size());
+  const auto fill_rows = [&](std::size_t begin, std::size_t end) {
+    std::vector<Real> table;
+    for (std::size_t k = begin; k < end; ++k) {
+      const auto row = static_cast<Index>(k);
+      evaluate_row(samples.row(row), table, g.row(row));
+    }
+  };
+  parallel_for_ranges(pool, static_cast<std::size_t>(samples.rows()),
+                      fill_rows);
   return g;
 }
 

@@ -2,8 +2,9 @@
 //
 // Given K samples of dY (rows of a K x N matrix), the dictionary produces the
 // K x M design matrix G of eq. (6)-(8): G(k, m) = g_m(dY^(k)). For the
-// paper's quadratic OpAmp model M = 20 301 and K = 1000, so G is ~160 MB;
-// the dictionary also offers per-column evaluation for streaming use.
+// paper's quadratic OpAmp model M = 20 301 and K = 1000, so G is ~160 MB,
+// built once, unzeroed, by every core; the dictionary also offers per-row
+// and per-column evaluation for streaming use.
 #pragma once
 
 #include <span>
@@ -14,6 +15,8 @@
 #include "util/common.hpp"
 
 namespace rsm {
+
+class ThreadPool;
 
 class BasisDictionary {
  public:
@@ -44,8 +47,16 @@ class BasisDictionary {
   [[nodiscard]] std::vector<Real> evaluate_column(Index m,
                                                   const Matrix& samples) const;
 
-  /// Full design matrix G (K x M), one evaluate_row per sample.
+  /// Full design matrix G (K x M), one evaluate_row per sample. The rows
+  /// split into contiguous parts on shared_pool() (a plain loop when it is
+  /// nullptr); each part keeps its own Hermite table, so every entry has
+  /// the same bits at any thread count.
   [[nodiscard]] Matrix design_matrix(const Matrix& samples) const;
+
+  /// The same matrix with its row parts on `pool` and the calling thread,
+  /// or on the calling thread alone when `pool` is nullptr.
+  [[nodiscard]] Matrix design_matrix(const Matrix& samples,
+                                     ThreadPool* pool) const;
 
   /// Row of the design matrix for one sample into `out` (length M). Builds
   /// the per-variable Hermite order table in `table` first (caller-owned

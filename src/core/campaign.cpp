@@ -28,11 +28,15 @@ std::string bounded_reason(std::string reason) {
 
 /// num_workers and worker_faults are deliberately excluded: neither changes
 /// any row's outcome, so a crashed 8-worker run may resume with one worker
-/// (and vice versa) without tripping the config-hash check.
-io::CheckpointHeader make_header(const Matrix& samples,
-                                 const CampaignOptions& options) {
+/// (and vice versa) without tripping the config-hash check. `version`
+/// picks the sample-matrix fingerprint: an older one only to check a log
+/// an older build wrote.
+io::CheckpointHeader make_header(
+    const Matrix& samples, const CampaignOptions& options,
+    std::uint32_t version = io::kCheckpointVersion) {
   io::CheckpointHeader header;
-  header.sample_matrix_hash = io::matrix_fingerprint(samples);
+  header.version = version;
+  header.sample_matrix_hash = io::matrix_fingerprint(samples, version);
   header.config_hash = io::fault_plan_fingerprint(options.fault_injector,
                                                   options.max_attempts);
   header.total_rows = static_cast<std::uint64_t>(samples.rows());
@@ -221,7 +225,11 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
   for (Index k = 0; k < num_samples; ++k)
     if (!outcomes[static_cast<std::size_t>(k)].done) pending.push_back(k);
 
-  const io::CheckpointHeader header = make_header(samples, options);
+  // Only the checkpoint writers read the header, and its fingerprint reads
+  // every sample byte.
+  const bool checkpointing = options.checkpoint.enabled();
+  const io::CheckpointHeader header =
+      checkpointing ? make_header(samples, options) : io::CheckpointHeader{};
   const Deadline global_deadline =
       options.time_budget_seconds > 0
           ? Deadline::after_seconds(options.time_budget_seconds)
@@ -295,7 +303,6 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
       checkpoint_io_errors.fetch_add(1, std::memory_order_relaxed);
       obs::metrics().counter("campaign.checkpoint.failures").increment();
     };
-    const bool checkpointing = options.checkpoint.enabled();
     if (checkpointing) {
       try {
         // Construction alone rewrites the base atomically (replayed records
@@ -513,13 +520,17 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
         .increment(report.progress_heartbeats);
   }
 
-  result.samples = Matrix(static_cast<Index>(survivors.size()),
-                          samples.cols());
-  for (std::size_t r = 0; r < survivors.size(); ++r) {
-    const std::span<const Real> src = samples.row(survivors[r]);
-    std::copy(src.begin(), src.end(),
-              result.samples.row(static_cast<Index>(r)).begin());
-  }
+  // Every survivor row is copied in full, so the matrix skips the zero-fill.
+  result.samples = Matrix::for_overwrite(static_cast<Index>(survivors.size()),
+                                         samples.cols());
+  const auto copy_rows = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      const std::span<const Real> src = samples.row(survivors[r]);
+      std::copy(src.begin(), src.end(),
+                result.samples.row(static_cast<Index>(r)).begin());
+    }
+  };
+  parallel_for_ranges(shared_pool(), survivors.size(), copy_rows);
   result.values = std::move(values);
   result.sample_indices = std::move(survivors);
   return result;
@@ -675,7 +686,9 @@ CampaignResult resume_campaign(const Matrix& samples,
   const io::CheckpointData data =
       io::load_sharded_checkpoint(options.checkpoint.path, &merge);
 
-  const io::CheckpointHeader expected = make_header(samples, options);
+  // A log an older build wrote carries that build's fingerprint.
+  const io::CheckpointHeader expected =
+      make_header(samples, options, data.header.version);
   if (data.header.sample_matrix_hash != expected.sample_matrix_hash ||
       data.header.total_rows != expected.total_rows) {
     throw IoError(

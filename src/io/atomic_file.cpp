@@ -99,10 +99,11 @@ void DurableFile::close() {
 }
 
 void atomic_write_file(const std::string& path, std::string_view data,
-                       const FaultSchedule<FsFaultKind>* faults) {
+                       const FaultSchedule<FsFaultKind>* faults,
+                       std::uint64_t op) {
   const std::string temp = path + ".tmp";
   try {
-    DurableFile file(temp, DurableFile::Mode::kTruncate, faults);
+    DurableFile file(temp, DurableFile::Mode::kTruncate, faults, op);
     file.write(data);
     file.sync();
     file.close();

@@ -8,9 +8,10 @@
 //     write first consults an optional FaultSchedule<FsFaultKind>, so torn
 //     writes, short writes, and ENOSPC are reproducible in CI without
 //     filling a disk. A file numbers its writes from the first op index it
-//     is opened with: 0 by default, so the single write of an
-//     atomic_write_file is always op 0, while a reopened log passes the
-//     index where its predecessor stopped and continues the schedule;
+//     is opened with (0 by default), and atomic_write_file takes the op
+//     index of its single write, so an owner that writes one file many
+//     times (the checkpoint writer) numbers every physical write from one
+//     counter and meets each faulted op of the schedule once;
 //   * atomic_write_file — the classic write-temp -> fsync -> rename(2)
 //     sequence (plus a directory fsync so the rename itself is durable):
 //     readers observe either the old content or the complete new content,
@@ -79,9 +80,10 @@ class DurableFile {
 /// Atomically replaces `path` with `data`: temp file in the same directory,
 /// write, fsync, rename over `path`, fsync the directory. On any failure
 /// the temp file is removed and IoError is thrown; `path` is never left
-/// half-written.
+/// half-written. The temp file's write is op `op` of `faults`.
 void atomic_write_file(const std::string& path, std::string_view data,
-                       const FaultSchedule<FsFaultKind>* faults = nullptr);
+                       const FaultSchedule<FsFaultKind>* faults = nullptr,
+                       std::uint64_t op = 0);
 
 /// Reads a whole file into a string; throws IoError when missing/unreadable.
 [[nodiscard]] std::string read_file_bytes(const std::string& path);

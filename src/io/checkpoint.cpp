@@ -1,7 +1,9 @@
 #include "io/checkpoint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -158,10 +160,11 @@ CheckpointData load_checkpoint(const std::string& path, LoadMode mode) {
   if (header.u32() != crc32(bytes.data(), kHeaderSize - 4)) {
     reject(path, "header CRC mismatch");
   }
-  if (data.header.version != kCheckpointVersion) {
+  if (data.header.version < kOldestCheckpointVersion ||
+      data.header.version > kCheckpointVersion) {
     std::ostringstream os;
     os << "unsupported version " << data.header.version << " (expected "
-       << kCheckpointVersion << ')';
+       << kOldestCheckpointVersion << " to " << kCheckpointVersion << ')';
     reject(path, os.str());
   }
 
@@ -382,25 +385,33 @@ CheckpointWriter::CheckpointWriter(const CheckpointOptions& options,
     : options_(options), header_(header), mirror_(std::move(existing)) {
   RSM_CHECK_MSG(options_.enabled(), "CheckpointOptions.path must be set");
   RSM_CHECK_MSG(options_.flush_every >= 1, "flush_every must be >= 1");
-  rewrite_and_reopen();
-  // The base rewrite is not a recovery; do not count it.
-  rewrites_ = 0;
+  // The base write is a recovery only when its first attempt faulted.
+  if (rewrite_and_reopen() > 1) ++rewrites_;
 }
 
 CheckpointWriter::~CheckpointWriter() = default;
 
-void CheckpointWriter::rewrite_and_reopen() {
+int CheckpointWriter::rewrite_and_reopen() {
   std::string full = serialize_header(header_);
   for (const CheckpointRecord& record : mirror_)
     full.append(serialize_record(record));
-  if (file_ != nullptr) next_append_op_ = file_->write_ops();
+  if (file_ != nullptr) next_op_ = file_->write_ops();
   file_.reset();
-  atomic_write_file(options_.path, full, &options_.fs_faults);
-  file_ = std::make_unique<DurableFile>(options_.path,
-                                        DurableFile::Mode::kAppend,
-                                        &options_.fs_faults, next_append_op_);
+  int attempts = 1;
+  for (;; ++attempts) {
+    try {
+      atomic_write_file(options_.path, full, &options_.fs_faults, next_op_++);
+      break;
+    } catch (const IoError& e) {
+      if (attempts == kRewriteAttempts) throw;
+      RSM_WARN("checkpoint rewrite faulted (" << e.what()
+                                              << "); retrying at the next op");
+    }
+  }
+  file_ = std::make_unique<DurableFile>(
+      options_.path, DurableFile::Mode::kAppend, &options_.fs_faults, next_op_);
   unsynced_ = 0;
-  ++rewrites_;
+  return attempts;
 }
 
 void CheckpointWriter::append(CheckpointRecord record) {
@@ -416,10 +427,12 @@ void CheckpointWriter::append(CheckpointRecord record) {
     // The file now ends in a torn/short record (or the write vanished).
     // Recover by rewriting the whole log atomically from the mirror — the
     // readers' contract (old-or-new, never a prefix) makes this safe even
-    // if we crash mid-recovery. One attempt; a second failure propagates.
+    // if we crash mid-recovery. A rewrite whose attempts all fault
+    // propagates.
     RSM_WARN("checkpoint append faulted (" << e.what()
                                            << "); rewriting atomically");
     rewrite_and_reopen();
+    ++rewrites_;
   }
   ++records_appended_;
   obs::metrics().counter("io.checkpoint.appends").increment();
@@ -434,11 +447,31 @@ void CheckpointWriter::flush() {
   obs::metrics().counter("io.checkpoint.flushes").increment();
 }
 
-std::uint64_t matrix_fingerprint(const Matrix& m) {
+std::uint64_t matrix_fingerprint(const Matrix& m, std::uint32_t version) {
   const Index dims[2] = {m.rows(), m.cols()};
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  const std::size_t size = static_cast<std::size_t>(m.size()) * sizeof(Real);
+  if (version == 2) return fnv1a64(bytes, size, fnv1a64(dims, sizeof(dims)));
+  RSM_CHECK_MSG(version == kCheckpointVersion,
+                "no matrix fingerprint for checkpoint version " << version);
+
+  // Eight independent FNV-1a chains over 64-bit words: a byte-wise chain
+  // waits on one multiply per byte, these keep eight multiplies in flight.
+  constexpr std::size_t kLanes = 8;
+  constexpr std::size_t kBlock = kLanes * sizeof(std::uint64_t);
+  std::array<std::uint64_t, kLanes> lanes;
+  lanes.fill(kFnvOffsetBasis);
+  const std::size_t blocked = size - size % kBlock;
+  for (std::size_t at = 0; at < blocked; at += kBlock) {
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      std::uint64_t word;
+      std::memcpy(&word, bytes + at + lane * sizeof(word), sizeof(word));
+      lanes[lane] = (lanes[lane] ^ word) * kFnvPrime;
+    }
+  }
   std::uint64_t hash = fnv1a64(dims, sizeof(dims));
-  return fnv1a64(m.data(),
-                 static_cast<std::size_t>(m.size()) * sizeof(Real), hash);
+  hash = fnv1a64(bytes + blocked, size - blocked, hash);
+  return fnv1a64(lanes.data(), sizeof(lanes), hash);
 }
 
 std::uint64_t fault_plan_fingerprint(const FaultSchedule<FaultKind>& plan,

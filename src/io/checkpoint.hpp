@@ -17,7 +17,10 @@
 // logs hold every finished row at all times.
 // Version 2 added the per-attempt failure codes: replaying a record
 // reconstructs the campaign's error histogram exactly, which is what lets a
-// resumed report be byte-identical to an uninterrupted one.
+// resumed report be byte-identical to an uninterrupted one. Version 3
+// changed only how sample_matrix_hash is computed (matrix_fingerprint,
+// below); the loader reads both, so a log an older build wrote still
+// resumes, and the resumed run rewrites it as version 3.
 //
 // A campaign, whatever its worker count, gives worker k its own shard —
 // `<base>.shard<k>.log`, same format, same header — in which it appends
@@ -30,10 +33,11 @@
 // for resume.
 //
 // The two u64 hashes bind a checkpoint to the exact campaign that wrote it:
-// sample_matrix_hash fingerprints the sample matrix bytes, config_hash the
-// determinism-relevant options (attempt budget + fault plan). resume refuses
-// to continue a different campaign — a resumed run must be bit-identical to
-// an uninterrupted one, and that only holds when inputs match.
+// sample_matrix_hash fingerprints the sample matrix's dims and bytes,
+// config_hash the determinism-relevant options (attempt budget + fault
+// plan). resume refuses to continue a different campaign — a resumed run
+// must be bit-identical to an uninterrupted one, and that only holds when
+// inputs match.
 //
 // Loaders never return silently corrupt data: bad magic, wrong version, a
 // failed CRC, or a record that stops short of its declared length raise a
@@ -61,7 +65,11 @@ namespace rsm::io {
 
 inline constexpr char kCheckpointMagic[8] = {'R', 'S', 'M', 'C',
                                              'K', 'P', 'T', '\n'};
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
+
+/// Oldest version the loader accepts. Version 2 differs from 3 only in how
+/// the header's sample_matrix_hash was computed.
+inline constexpr std::uint32_t kOldestCheckpointVersion = 2;
 
 /// Quarantine reasons are clamped to this many bytes on write, so a
 /// pathological campaign cannot grow checkpoints (or reports) without limit.
@@ -182,14 +190,22 @@ struct CheckpointOptions {
 /// Append-side of the log. The writer keeps an in-memory mirror of every
 /// record it owns, which buys self-healing: when an append's physical write
 /// faults (torn/short/ENOSPC), the writer rewrites the whole file atomically
-/// from the mirror and reopens for append — one recovery attempt per append;
-/// if the rewrite also fails, the IoError propagates and the caller decides
-/// (the campaign layer then disables checkpointing rather than abort).
-/// Under `fs_faults`, every atomic rewrite is op 0 of its own temp file,
-/// while the appends walk one op index sequence across reopens: append i
-/// is op i, so each faulted op up to the last append is met once.
+/// from the mirror and reopens for append. A rewrite that faults, the
+/// construction's base write included, is retried, kRewriteAttempts
+/// attempts in all; if they all fail, the IoError propagates and the caller
+/// decides (the campaign layer then disables checkpointing rather than
+/// abort). Under `fs_faults` the writer numbers every physical write, atomic
+/// rewrite or append, from one counter that starts at 0: the base write is
+/// op 0, each write takes the op after the one before, and a faulted op is
+/// met once. A fresh writer (a shard, a compaction) starts again at op 0.
 class CheckpointWriter {
  public:
+  /// Attempts one atomic rewrite gets, each at the next op, before its
+  /// IoError propagates. With a single retry any two faulted ops in a row
+  /// disable the writer; with three attempts an append at fault rate p
+  /// does so with probability p^4 (1e-4 at p = 0.1) instead of p^3.
+  static constexpr int kRewriteAttempts = 3;
+
   /// Creates (or atomically replaces) `options.path` holding `header` plus
   /// `existing` records — resume passes the loaded records so the file is
   /// rewritten to a clean base before new appends. Throws IoError.
@@ -206,16 +222,21 @@ class CheckpointWriter {
 
   [[nodiscard]] Index records_appended() const { return records_appended_; }
   [[nodiscard]] Index flushes() const { return flushes_; }
+
+  /// Rewrites that healed a faulted write: one per faulted append, plus one
+  /// when the base write landed only on a retry.
   [[nodiscard]] Index rewrites() const { return rewrites_; }
 
  private:
-  void rewrite_and_reopen();
+  /// Rewrites the log from the mirror and reopens it for append; returns
+  /// the attempts the rewrite took.
+  int rewrite_and_reopen();
 
   CheckpointOptions options_;
   CheckpointHeader header_;
   std::vector<CheckpointRecord> mirror_;
   std::unique_ptr<class DurableFile> file_;
-  std::uint64_t next_append_op_ = 0;  // fs schedule index of the next append
+  std::uint64_t next_op_ = 0;  // fs schedule index of the next write
   int unsynced_ = 0;
   Index records_appended_ = 0;
   Index flushes_ = 0;
@@ -223,7 +244,16 @@ class CheckpointWriter {
 };
 
 /// Fingerprints for the header's binding hashes.
-[[nodiscard]] std::uint64_t matrix_fingerprint(const Matrix& m);
+///
+/// matrix_fingerprint is the sample_matrix_hash a header of `version`
+/// carries. Version 3 folds the matrix bytes as 64-bit words through eight
+/// FNV-1a lanes (word i into lane i % 8, so the lanes' multiplies overlap),
+/// then folds the dims, the bytes past the last whole eight-word block and
+/// the eight lanes, in that order, through byte-wise fnv1a64. Version 2 is
+/// byte-wise fnv1a64 over the dims and then every byte, a serial chain
+/// about eight times slower; it is computed only to resume a version-2 log.
+[[nodiscard]] std::uint64_t matrix_fingerprint(
+    const Matrix& m, std::uint32_t version = kCheckpointVersion);
 [[nodiscard]] std::uint64_t fault_plan_fingerprint(
     const FaultSchedule<FaultKind>& plan, int max_attempts);
 

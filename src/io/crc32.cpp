@@ -214,7 +214,7 @@ std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
   std::uint64_t hash = seed;
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
+    hash *= kFnvPrime;
   }
   return hash;
 }

@@ -37,6 +37,7 @@ namespace rsm::io {
 /// FNV-1a 64-bit over raw bytes, continuing from `seed` (pass the previous
 /// return value to hash a message in pieces).
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 [[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t size,
                                     std::uint64_t seed = kFnvOffsetBasis);

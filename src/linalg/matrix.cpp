@@ -30,6 +30,15 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<Real>> rows) {
   }
 }
 
+Matrix Matrix::for_overwrite(Index rows, Index cols) {
+  RSM_CHECK(rows >= 0 && cols >= 0);
+  Matrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.data_.resize(static_cast<std::size_t>(rows * cols));
+  return m;
+}
+
 Matrix Matrix::identity(Index n) {
   Matrix m(n, n);
   for (Index i = 0; i < n; ++i) m(i, i) = Real{1};

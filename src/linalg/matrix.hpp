@@ -6,12 +6,43 @@
 #pragma once
 
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/common.hpp"
 
 namespace rsm {
+namespace detail {
+
+/// std::allocator whose value-less construct() default-initializes, so a
+/// vector of trivial elements sized by count is left unwritten instead of
+/// zero-filled (Matrix::for_overwrite). Every construct() with a value
+/// behaves as std::allocator's.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace detail
 
 /// Dense row-major matrix of Real. Value semantics; cheap to move.
 class Matrix {
@@ -20,6 +51,11 @@ class Matrix {
 
   /// rows x cols matrix, zero-initialized.
   Matrix(Index rows, Index cols);
+
+  /// rows x cols matrix whose entries are left unwritten (not zero-filled):
+  /// for a caller that writes every entry before it reads one, such as a
+  /// design matrix or a sample draw. Reading an entry first is undefined.
+  [[nodiscard]] static Matrix for_overwrite(Index rows, Index cols);
 
   /// rows x cols matrix filled with `value`.
   Matrix(Index rows, Index cols, Real value);
@@ -71,7 +107,7 @@ class Matrix {
  private:
   Index rows_ = 0;
   Index cols_ = 0;
-  std::vector<Real> data_;
+  std::vector<Real, detail::DefaultInitAllocator<Real>> data_;
 };
 
 [[nodiscard]] Matrix operator+(Matrix a, const Matrix& b);

@@ -60,7 +60,7 @@ Matrix latin_hypercube_normal(Index num_samples, Index num_variables,
 
 Matrix monte_carlo_normal(Index num_samples, Index num_variables, Rng& rng) {
   RSM_CHECK(num_samples > 0 && num_variables > 0);
-  Matrix samples(num_samples, num_variables);
+  Matrix samples = Matrix::for_overwrite(num_samples, num_variables);
   for (Index k = 0; k < num_samples; ++k) rng.fill_normal(samples.row(k));
   return samples;
 }

@@ -392,6 +392,21 @@ void ThreadPool::worker_loop(int index) {
   }
 }
 
+void parallel_for_ranges(
+    ThreadPool* pool, std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t threads =
+      pool == nullptr ? 1 : static_cast<std::size_t>(pool->num_workers()) + 1;
+  const std::size_t parts = std::min(threads, count);
+  if (parts <= 1) {
+    if (count > 0) body(0, count);
+    return;
+  }
+  pool->parallel_for(parts, [&](std::size_t p) {
+    body(count * p / parts, count * (p + 1) / parts);
+  });
+}
+
 ThreadPool* shared_pool() {
   static const int threads = [] {
     const int cores =

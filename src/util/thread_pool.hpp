@@ -189,6 +189,15 @@ class ThreadPool {
   CondVar space_cv_;  // queue space may have opened up
 };
 
+/// Runs body(begin, end) over contiguous parts that cover [0, count) on
+/// `pool` and the calling thread: one part per thread, never more parts
+/// than items, part p taking [count * p / parts, count * (p + 1) / parts).
+/// With pool nullptr it is body(0, count) on the calling thread. For row
+/// loops whose rows are independent, such as filling a matrix row by row.
+void parallel_for_ranges(
+    ThreadPool* pool, std::size_t count,
+    const std::function<void(std::size_t, std::size_t)>& body);
+
 /// The process-wide pool that splits the correlation scan
 /// (gemv_transposed) and the cross-validation folds across cores. The
 /// calling thread takes a share of every parallel_for, so the pool has one

@@ -1,6 +1,7 @@
 #include "basis/dictionary.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "linalg/blas.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsm {
 namespace {
@@ -46,16 +48,32 @@ TEST(Dictionary, DesignRowMatchesDesignMatrix) {
   // Total degree 4: orders up to 4, so the per-row Hermite table holds five
   // orders per variable. The scratch table starts stale (wrong size, junk
   // values) and is reused across rows, as the streaming column source does.
+  // design_matrix builds G unzeroed in contiguous row parts, each with its
+  // own table: alone, on a pool of four threads (fewer rows than parts, as
+  // many, and more) and on the shared pool, every entry must carry the bits
+  // evaluate_row writes. The reference stays alive while G is built, so G
+  // cannot land on its freed memory and inherit its bits.
+  ThreadPool pool(ThreadPool::Options{4, 256});
   Rng rng(56);
   const BasisDictionary dict = BasisDictionary::total_degree(3, 4);
-  const Matrix samples = monte_carlo_normal(4, 3, rng);
-  const Matrix g = dict.design_matrix(samples);
-  std::vector<Real> table(2, 1e300);
-  std::vector<Real> row(static_cast<std::size_t>(dict.size()));
-  for (Index k = 0; k < 4; ++k) {
-    dict.evaluate_row(samples.row(k), table, row);
-    for (Index m = 0; m < dict.size(); ++m)
-      EXPECT_NEAR(row[static_cast<std::size_t>(m)], g(k, m), 1e-13);
+  for (const Index k : {1, 3, 5, 97}) {
+    const Matrix samples = monte_carlo_normal(k, 3, rng);
+    Matrix reference(k, dict.size());
+    std::vector<Real> table(2, 1e300);
+    for (Index r = 0; r < k; ++r)
+      dict.evaluate_row(samples.row(r), table, reference.row(r));
+    const auto bytes =
+        static_cast<std::size_t>(reference.size()) * sizeof(Real);
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const Matrix g = dict.design_matrix(samples, threads);
+      ASSERT_EQ(g.rows(), k);
+      ASSERT_EQ(g.cols(), dict.size());
+      EXPECT_EQ(std::memcmp(g.data(), reference.data(), bytes), 0)
+          << k << " rows, " << (threads == nullptr ? "no pool" : "pool");
+    }
+    const Matrix shared = dict.design_matrix(samples);
+    EXPECT_EQ(std::memcmp(shared.data(), reference.data(), bytes), 0)
+        << k << " rows, shared pool";
   }
 }
 

@@ -15,6 +15,7 @@
 #include "core/omp.hpp"
 #include "io/atomic_file.hpp"
 #include "io/checkpoint.hpp"
+#include "io/crc32.hpp"
 #include "stats/lhs.hpp"
 #include "stats/rng.hpp"
 #include "util/cancellation.hpp"
@@ -370,8 +371,9 @@ TEST(DurableCampaignTest, WriterSelfHealKeepsLogLoadable) {
   // One worker, so all kRows appends go through one shard writer and meet
   // the fault schedule below.
   options.num_workers = 1;
-  // A schedule whose first fault hits an append (op >= 1), so recovery
-  // rewrites (whose fresh files restart at op 0) always succeed.
+  // A schedule whose first fault hits an append (op >= 1): op 0, where
+  // every writer's base write lands, is clean, and the chosen seed's
+  // recovery rewrite lands on the op after its faulted append.
   bool found = false;
   for (std::uint64_t seed = 1; seed < 65536 && !found; ++seed) {
     FaultSchedule<FsFaultKind> candidate({.fault_rate = 0.2, .seed = seed});
@@ -393,6 +395,117 @@ TEST(DurableCampaignTest, WriterSelfHealKeepsLogLoadable) {
   EXPECT_GE(result.report.checkpoint_rewrites, 1);
   const io::CheckpointData data = io::load_checkpoint(
       options.checkpoint.path, io::LoadMode::kStrict);
+  EXPECT_EQ(data.records.size(), static_cast<std::size_t>(kRows));
+}
+
+TEST(DurableCampaignTest, FaultedFirstOpSelfHeals) {
+  // Op 0 faults and op 1 is clean. Each writer the run opens (the base
+  // write, the shard, the compaction) numbers its writes from op 0, so each
+  // base write faults once and lands on its retry.
+  const FaultSchedule<FsFaultKind> faults({.fault_rate = 0.25, .seed = 3});
+  ASSERT_NE(faults.kind(0), FsFaultKind::kNone);
+  ASSERT_EQ(faults.kind(1), FsFaultKind::kNone);
+  const Matrix samples = make_samples();
+  CampaignOptions options;
+  options.checkpoint.path = test_path("first_op_faults.ckpt");
+  options.checkpoint.fs_faults = faults;
+  options.num_workers = 1;
+  const CampaignResult result =
+      run_campaign(samples, pure_evaluator(), options);
+
+  EXPECT_FALSE(result.report.checkpoint_failed);
+  EXPECT_EQ(result.report.error_count(ErrorCode::kIoError), 0);
+  EXPECT_EQ(result.report.checkpoint_records, kRows);
+  // The shard's base write heals on op 1; its appends are ops 2, 3, 6, 8,
+  // 9, ...: op 3 faults (its rewrite faults at 4, lands at 5) and op 6
+  // faults (its rewrite lands at 7).
+  EXPECT_EQ(result.report.checkpoint_rewrites, 3);
+  const io::CheckpointData data = io::load_checkpoint(
+      options.checkpoint.path, io::LoadMode::kStrict);
+  EXPECT_EQ(data.records.size(), static_cast<std::size_t>(kRows));
+  EXPECT_TRUE(io::find_shard_paths(options.checkpoint.path).empty());
+  expect_bit_identical(result, run_campaign(samples, pure_evaluator()));
+}
+
+TEST(DurableCampaignTest, ExampleFaultScheduleSelfHeals) {
+  // The schedule `durable_campaign --samples 24 --fs-fault-rate 0.3` plants
+  // (seed 99) tears ops 0 and 1, so every base write heals only on its third
+  // attempt, and its longest run of faulted ops a one-worker run meets is
+  // three: the shard writer's third rewrite attempt lands, eight of its 24
+  // appends fault and heal, and nothing is disabled.
+  constexpr Index kExampleRows = 24;
+  const FaultSchedule<FsFaultKind> faults({.fault_rate = 0.3, .seed = 99});
+  ASSERT_EQ(faults.kind(0), FsFaultKind::kTornWrite);
+  ASSERT_EQ(faults.kind(1), FsFaultKind::kTornWrite);
+  ASSERT_EQ(faults.kind(2), FsFaultKind::kNone);
+  Rng rng(13);
+  const Matrix samples = monte_carlo_normal(kExampleRows, kCols, rng);
+  CampaignOptions options;
+  options.checkpoint.path = test_path("example_faults.ckpt");
+  options.checkpoint.fs_faults = faults;
+  options.num_workers = 1;
+  const CampaignResult result =
+      run_campaign(samples, pure_evaluator(), options);
+
+  EXPECT_FALSE(result.report.checkpoint_failed);
+  EXPECT_EQ(result.report.checkpoint_records, kExampleRows);
+  EXPECT_EQ(result.report.checkpoint_rewrites, 9);
+  const io::CheckpointData data = io::load_checkpoint(
+      options.checkpoint.path, io::LoadMode::kStrict);
+  EXPECT_EQ(data.records.size(), static_cast<std::size_t>(kExampleRows));
+}
+
+TEST(DurableCampaignTest, VersionTwoLogStillResumes) {
+  // A log an older build wrote: checkpoint version 2, whose sample-matrix
+  // hash is byte-wise FNV-1a over the dims and then every sample byte. It
+  // holds the first half of the rows; resume evaluates only the rest, ends
+  // bit-identical to an uninterrupted run, and rewrites the log as the
+  // current version.
+  const Matrix samples = make_samples();
+  const CampaignResult reference = run_campaign(samples, pure_evaluator());
+  CampaignOptions options;
+  options.checkpoint.path = test_path("version2.ckpt");
+
+  const Index dims[2] = {samples.rows(), samples.cols()};
+  io::CheckpointHeader header;
+  header.version = 2;
+  const auto bytes = static_cast<std::size_t>(samples.size()) * sizeof(Real);
+  header.sample_matrix_hash = io::fnv1a64(samples.data(), bytes,
+                                          io::fnv1a64(dims, sizeof(dims)));
+  header.config_hash = io::fault_plan_fingerprint(options.fault_injector,
+                                                  options.max_attempts);
+  header.total_rows = static_cast<std::uint64_t>(kRows);
+  std::string log = io::serialize_header(header);
+  constexpr Index kLogged = kRows / 2;
+  for (Index r = 0; r < kLogged; ++r) {
+    io::CheckpointRecord record;
+    record.sample = r;
+    record.value = reference.values[static_cast<std::size_t>(r)];
+    log.append(io::serialize_record(record));
+  }
+  io::atomic_write_file(options.checkpoint.path, log);
+
+  // A version-2 log of another matrix is still refused.
+  Matrix other = samples;
+  other(1, 2) += 1e-9;
+  EXPECT_THROW((void)resume_campaign(other, pure_evaluator(), options),
+               IoError);
+
+  std::atomic<Index> evaluated{0};
+  const SampleEvaluator counting = [&](std::span<const Real> x, int) {
+    evaluated.fetch_add(1);
+    return row_metric(x);
+  };
+  const CampaignResult resumed = resume_campaign(samples, counting, options);
+  EXPECT_EQ(resumed.report.resumed_samples, kLogged);
+  EXPECT_EQ(evaluated.load(), kRows - kLogged);
+  expect_bit_identical(resumed, reference);
+
+  const io::CheckpointData data = io::load_checkpoint(
+      options.checkpoint.path, io::LoadMode::kStrict);
+  EXPECT_EQ(data.header.version, io::kCheckpointVersion);
+  EXPECT_EQ(data.header.sample_matrix_hash, io::matrix_fingerprint(samples));
+  EXPECT_NE(data.header.sample_matrix_hash, header.sample_matrix_hash);
   EXPECT_EQ(data.records.size(), static_cast<std::size_t>(kRows));
 }
 

@@ -110,6 +110,22 @@ TEST(AtomicWriteTest, FaultedWriteLeavesTargetUntouched) {
   EXPECT_FALSE(file_exists(path + ".tmp"));
 }
 
+TEST(AtomicWriteTest, WriteIsTheGivenOpOfTheSchedule) {
+  // The temp file's single write is the op the caller names, so a writer
+  // that numbers its rewrites meets a faulted op once and moves past it.
+  const std::string path = test_path("atomic_op.bin");
+  const FaultSchedule<FsFaultKind> faults({.fault_rate = 0.25, .seed = 3});
+  ASSERT_NE(faults.kind(0), FsFaultKind::kNone);
+  ASSERT_EQ(faults.kind(1), FsFaultKind::kNone);
+  atomic_write_file(path, "old");
+  EXPECT_THROW(atomic_write_file(path, "op 0 faults", &faults), IoError);
+  EXPECT_THROW(atomic_write_file(path, "op 0 faults", &faults, 0), IoError);
+  EXPECT_EQ(read_file_bytes(path), "old");
+  atomic_write_file(path, "op 1 is clean", &faults, 1);
+  EXPECT_EQ(read_file_bytes(path), "op 1 is clean");
+  EXPECT_FALSE(file_exists(path + ".tmp"));
+}
+
 TEST(ReadFileBytesTest, MissingFileThrowsIoError) {
   try {
     (void)read_file_bytes(test_path("does_not_exist.bin"));

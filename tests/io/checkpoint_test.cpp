@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "io/atomic_file.hpp"
 #include "io/checkpoint.hpp"
 #include "io/crc32.hpp"
+#include "obs/metrics.hpp"
 #include "support/hex.hpp"
 #include "util/errors.hpp"
 #include "util/log.hpp"
@@ -137,6 +139,9 @@ TEST(CheckpointFormatTest, VersionMismatchRejected) {
   const std::string path = test_path("version.ckpt");
   CheckpointHeader header = test_header();
   header.version = kCheckpointVersion + 1;
+  atomic_write_file(path, serialize_header(header));
+  expect_reject(path, LoadMode::kRecoverTail, "unsupported version");
+  header.version = kOldestCheckpointVersion - 1;
   atomic_write_file(path, serialize_header(header));
   expect_reject(path, LoadMode::kRecoverTail, "unsupported version");
 }
@@ -273,8 +278,10 @@ TEST(CheckpointWriterTest, ResumeBaseRewritesExistingRecords) {
 
 TEST(CheckpointWriterTest, SelfHealsFaultedAppendAtomically) {
   const std::string path = test_path("self_heal.ckpt");
-  // Find a schedule whose first faulted op lands on append #1..#3 (op 0
-  // clean, so the ctor's base rewrite and recovery rewrites succeed).
+  // Find a schedule whose first faulted op is one of the first appends:
+  // op 0, the base write, clean and a fault at op 1..3. The recovery
+  // rewrite takes the op after the faulted append, retried while it faults
+  // (the seed found faults op 2 and makes the rewrite retry twice).
   CheckpointOptions options;
   options.path = path;
   std::uint64_t first_fault = 0;
@@ -314,20 +321,31 @@ TEST(CheckpointWriterTest, SelfHealsFaultedAppendAtomically) {
 }
 
 TEST(CheckpointWriterTest, SelfHealContinuesTheFsSchedule) {
-  // Append i is op i of the fs schedule, across every self-heal: a reopened
-  // log continues where the faulted file stopped rather than replaying the
-  // schedule from op 0, so each faulted op the appends reach costs exactly
-  // one rewrite. Rate 0.5, seed 6 leaves op 0 clean (the atomic rewrites
-  // succeed) and faults ops 1-3 with all three modes.
+  // Every physical write, atomic rewrite or append, is the next op of one
+  // counter, across every self-heal: op 0 is the base write, a faulted
+  // append's rewrite takes the op after it, a faulted rewrite is retried at
+  // the op after that, and the appends go on from there, so each faulted op
+  // is met once and each faulted append costs exactly one rewrite. Rate
+  // 0.5, seed 6 leaves op 0 clean and faults ops 1-3 with all three modes:
+  // append 0 (op 1) tears and its rewrite lands on its third attempt
+  // (op 4). Walked over 20 appends this schedule costs 8 rewrites.
   const FaultSchedule<FsFaultKind> faults({.fault_rate = 0.5, .seed = 6});
   ASSERT_EQ(faults.kind(0), FsFaultKind::kNone);
   ASSERT_EQ(faults.kind(1), FsFaultKind::kTornWrite);
   ASSERT_EQ(faults.kind(2), FsFaultKind::kNoSpace);
   ASSERT_EQ(faults.kind(3), FsFaultKind::kShortWrite);
+  ASSERT_EQ(faults.kind(4), FsFaultKind::kNone);
   constexpr Index kAppends = 20;
-  Index faulted_ops = 0;
-  for (Index op = 0; op < kAppends; ++op)
-    if (faults.kind(op) != FsFaultKind::kNone) ++faulted_ops;
+  Index faulted_appends = 0;
+  std::uint64_t op = 1;
+  for (Index i = 0; i < kAppends; ++i) {
+    if (faults.kind(op++) == FsFaultKind::kNone) continue;
+    ++faulted_appends;
+    int attempts = 1;
+    while (faults.kind(op++) != FsFaultKind::kNone) ++attempts;
+    ASSERT_LE(attempts, CheckpointWriter::kRewriteAttempts) << "append " << i;
+  }
+  EXPECT_EQ(faulted_appends, 8);
 
   CheckpointOptions options;
   options.path = test_path("self_heal_schedule.ckpt");
@@ -340,12 +358,61 @@ TEST(CheckpointWriterTest, SelfHealContinuesTheFsSchedule) {
     record.value = static_cast<Real>(i);
     writer.append(record);
   }
-  EXPECT_EQ(writer.rewrites(), faulted_ops);
+  EXPECT_EQ(writer.rewrites(), faulted_appends);
   writer.flush();
   const CheckpointData data = load_checkpoint(options.path, LoadMode::kStrict);
   ASSERT_EQ(data.records.size(), static_cast<std::size_t>(kAppends));
   for (Index i = 0; i < kAppends; ++i)
     EXPECT_EQ(data.records[static_cast<std::size_t>(i)].sample, i);
+}
+
+TEST(CheckpointWriterTest, FaultedBaseWriteRetriesAtTheNextOp) {
+  // The base write is op 0; when it faults the writer retries at op 1, and
+  // the appends go on from op 2.
+  const FaultSchedule<FsFaultKind> faults({.fault_rate = 0.25, .seed = 3});
+  ASSERT_NE(faults.kind(0), FsFaultKind::kNone);
+  ASSERT_EQ(faults.kind(1), FsFaultKind::kNone);
+  ASSERT_EQ(faults.kind(2), FsFaultKind::kNone);
+  ASSERT_NE(faults.kind(3), FsFaultKind::kNone);
+  ASSERT_NE(faults.kind(4), FsFaultKind::kNone);
+  ASSERT_EQ(faults.kind(5), FsFaultKind::kNone);
+  CheckpointOptions options;
+  options.path = test_path("base_retry.ckpt");
+  options.fs_faults = faults;
+  const std::vector<CheckpointRecord> existing = test_records();
+  CheckpointWriter writer(options, test_header(), existing);
+  EXPECT_EQ(writer.rewrites(), 1);  // the base write healed on its retry
+  EXPECT_FALSE(file_exists(options.path + ".tmp"));
+
+  CheckpointRecord next;
+  next.type = CheckpointRecord::Type::kSample;
+  next.sample = 3;
+  next.value = 2.5;
+  writer.append(next);  // op 2, clean
+  EXPECT_EQ(writer.rewrites(), 1);
+  next.sample = 4;
+  writer.append(next);  // op 3 faults; its rewrite faults at 4, lands at 5
+  EXPECT_EQ(writer.rewrites(), 2);
+  writer.flush();
+  const CheckpointData data = load_checkpoint(options.path, LoadMode::kStrict);
+  ASSERT_EQ(data.records.size(), existing.size() + 2);
+  EXPECT_EQ(data.records[existing.size()].sample, 3);
+  EXPECT_EQ(data.records.back().sample, 4);
+}
+
+TEST(CheckpointWriterTest, BaseWriteGivesUpAfterItsAttempts) {
+  // Every op faults: the base write makes kRewriteAttempts attempts, then
+  // its IoError propagates, and no attempt leaves the log or a temp file.
+  CheckpointOptions options;
+  options.path = test_path("base_gives_up.ckpt");
+  options.fs_faults = FaultSchedule<FsFaultKind>({.fault_rate = 1.0});
+  const obs::Counter& injected =
+      obs::metrics().counter("io.fs_faults.injected");
+  const std::int64_t before = injected.value();
+  EXPECT_THROW(CheckpointWriter writer(options, test_header()), IoError);
+  EXPECT_EQ(injected.value() - before, CheckpointWriter::kRewriteAttempts);
+  EXPECT_FALSE(file_exists(options.path));
+  EXPECT_FALSE(file_exists(options.path + ".tmp"));
 }
 
 TEST(CheckpointFormatTest, FailedAttemptCodesRoundtrip) {
@@ -459,14 +526,17 @@ TEST(CheckpointFormatTest, EncodingMatchesPinnedBytes) {
   const std::string header = from_hex(kPinnedHeaderHex);
   const std::string sample = from_hex(kPinnedSampleHex);
   const std::string quarantine = from_hex(kPinnedQuarantineHex);
-  EXPECT_EQ(serialize_header(test_header()), header);
+  CheckpointHeader version_2 = test_header();
+  version_2.version = 2;
+  EXPECT_EQ(serialize_header(version_2), header);
   EXPECT_EQ(serialize_record(pinned_sample()), sample);
   EXPECT_EQ(serialize_record(pinned_quarantine()), quarantine);
 
+  // A log written at version 2 still loads.
   const std::string path = test_path("pinned.ckpt");
   write_plain(path, header + sample + quarantine);
   const CheckpointData data = load_checkpoint(path, LoadMode::kStrict);
-  EXPECT_EQ(data.header.version, kCheckpointVersion);
+  EXPECT_EQ(data.header.version, 2u);
   EXPECT_EQ(data.header.sample_matrix_hash, test_header().sample_matrix_hash);
   EXPECT_EQ(data.header.config_hash, test_header().config_hash);
   EXPECT_EQ(data.header.total_rows, test_header().total_rows);
@@ -484,6 +554,50 @@ TEST(CheckpointFormatTest, EncodingMatchesPinnedBytes) {
   EXPECT_EQ(q.code, ErrorCode::kDeadlineExceeded);
   EXPECT_EQ(q.reason, "watchdog");
   EXPECT_EQ(q.failed_codes, pinned_quarantine().failed_codes);
+}
+
+/// The 13 x 7 matrix the fingerprint pins use: entry (r, c) = r - c / 4.
+/// Its 728 bytes are eleven whole 64-byte blocks for the eight lanes and a
+/// 24-byte tail.
+Matrix fingerprint_matrix() {
+  Matrix m(13, 7);
+  for (Index r = 0; r < m.rows(); ++r)
+    for (Index c = 0; c < m.cols(); ++c)
+      m(r, c) = static_cast<Real>(r) - 0.25 * static_cast<Real>(c);
+  return m;
+}
+
+// A version-3 header binding fingerprint_matrix(): the fingerprint below was
+// computed by an independent implementation of the eight-lane fold, so these
+// bytes pin the header encoding and the fingerprint together. Logs on disk
+// outlive builds, so they must never change.
+constexpr const char* kPinnedV3HeaderHex =
+    "52534d434b50540a03000000d62b21e041aeb1e1"
+    "00ffeeddccbbaa990d000000000000002cf25737";
+constexpr std::uint64_t kPinnedV3Fingerprint = 0xe1b1ae41e0212bd6ull;
+constexpr std::uint64_t kPinnedV2Fingerprint = 0xffe456a0c499a45full;
+
+TEST(CheckpointFormatTest, EncodingMatchesPinnedV3Header) {
+  const Matrix m = fingerprint_matrix();
+  EXPECT_EQ(matrix_fingerprint(m), kPinnedV3Fingerprint);
+  EXPECT_EQ(matrix_fingerprint(m, 2), kPinnedV2Fingerprint);
+
+  CheckpointHeader header;
+  header.sample_matrix_hash = matrix_fingerprint(m);
+  header.config_hash = test_header().config_hash;
+  header.total_rows = static_cast<std::uint64_t>(m.rows());
+  EXPECT_EQ(header.version, 3u);
+  const std::string pinned = from_hex(kPinnedV3HeaderHex);
+  EXPECT_EQ(serialize_header(header), pinned);
+
+  const std::string path = test_path("pinned_v3.ckpt");
+  write_plain(path, pinned + from_hex(kPinnedSampleHex));
+  const CheckpointData data = load_checkpoint(path, LoadMode::kStrict);
+  EXPECT_EQ(data.header.version, 3u);
+  EXPECT_EQ(data.header.sample_matrix_hash, kPinnedV3Fingerprint);
+  EXPECT_EQ(data.header.total_rows, 13u);
+  ASSERT_EQ(data.records.size(), 1u);
+  EXPECT_TRUE(same_record(data.records[0], pinned_sample()));
 }
 
 /// Silences the loader's expected torn-tail and salvage warnings.
@@ -761,6 +875,31 @@ TEST(CheckpointFingerprintTest, SensitiveToEveryInput) {
             fault_plan_fingerprint(plan_a, 4));
   EXPECT_EQ(fault_plan_fingerprint(plan_a, 3),
             fault_plan_fingerprint(plan_a, 3));
+}
+
+TEST(CheckpointFingerprintTest, EveryByteAndTheDimsCount) {
+  // Each single-byte change lands in one of the eight lanes or in the tail
+  // past the last whole block; both must reach the fingerprint, at either
+  // version. So must the dims: the same bytes read as 7 x 13 differ.
+  const Matrix m = fingerprint_matrix();
+  const auto size = static_cast<std::size_t>(m.size()) * sizeof(Real);
+  ASSERT_GT(size % 64, 0u);
+  for (const std::uint32_t version : {2u, 3u}) {
+    const std::uint64_t base = matrix_fingerprint(m, version);
+    for (std::size_t at = 0; at < size; ++at) {
+      for (const unsigned char mask : {0x01, 0x80}) {
+        Matrix changed = m;
+        auto* bytes = reinterpret_cast<unsigned char*>(changed.data());
+        bytes[at] = static_cast<unsigned char>(bytes[at] ^ mask);
+        EXPECT_NE(matrix_fingerprint(changed, version), base)
+            << "version " << version << " byte " << at << " mask " << int{mask};
+      }
+    }
+    Matrix swapped(m.cols(), m.rows());
+    std::memcpy(swapped.data(), m.data(), size);
+    EXPECT_NE(matrix_fingerprint(swapped, version), base)
+        << "version " << version;
+  }
 }
 
 }  // namespace

@@ -22,6 +22,18 @@ TEST(Matrix, ConstructZeroInitialized) {
     for (Index c = 0; c < 4; ++c) EXPECT_EQ(m(r, c), 0.0);
 }
 
+TEST(Matrix, ForOverwriteHasTheShapeAndKeepsWrites) {
+  Matrix m = Matrix::for_overwrite(3, 4);
+  EXPECT_EQ(m.rows(), 3);
+  EXPECT_EQ(m.cols(), 4);
+  for (Index r = 0; r < 3; ++r)
+    for (Index c = 0; c < 4; ++c) m(r, c) = static_cast<Real>(10 * r + c);
+  const Matrix copy = m;
+  EXPECT_EQ(copy(2, 3), 23.0);
+  EXPECT_EQ(copy(0, 0), 0.0);
+  EXPECT_TRUE(Matrix::for_overwrite(0, 5).empty());
+}
+
 TEST(Matrix, ConstructFilled) {
   Matrix m(2, 2, 7.5);
   EXPECT_EQ(m(0, 0), 7.5);
