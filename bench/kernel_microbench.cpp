@@ -140,6 +140,24 @@ void BM_CorrelationScan(benchmark::State& state) {
 }
 BENCHMARK(BM_CorrelationScan)->Arg(1000)->Arg(5000)->Arg(21311);
 
+void BM_MonteCarloNormal(benchmark::State& state) {
+  // The chain's first stage: K x N standard normals. Table IV's
+  // 1 000 x 21 310 draw counts and places its chunks on the shared pool;
+  // the OpAmp-size 500 x 630 draw is three chunks and a remainder. Timed
+  // in wall-clock seconds, since the pool's threads do most of the work.
+  const Index k = state.range(0), n = state.range(1);
+  Rng rng(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(monte_carlo_normal(k, n, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k *
+                          n);
+}
+BENCHMARK(BM_MonteCarloNormal)
+    ->Args({1000, 21310})
+    ->Args({500, 630})
+    ->UseRealTime();
+
 void BM_StreamingOmp(benchmark::State& state) {
   // OMP against a lazily evaluated quadratic dictionary (no materialized
   // design matrix): the memory-for-time trade used when M ~ 10^6.

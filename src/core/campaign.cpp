@@ -34,6 +34,7 @@ std::string bounded_reason(std::string reason) {
 io::CheckpointHeader make_header(
     const Matrix& samples, const CampaignOptions& options,
     std::uint32_t version = io::kCheckpointVersion) {
+  RSM_TRACE_SPAN("campaign.header");
   io::CheckpointHeader header;
   header.version = version;
   header.sample_matrix_hash = io::matrix_fingerprint(samples, version);
@@ -437,6 +438,7 @@ CampaignResult run_rows(const Matrix& samples, const SampleEvaluator& evaluate,
     // shards disappear. This runs on success AND on graceful truncation;
     // only a hard kill skips it.
     if (checkpointing) {
+      RSM_TRACE_SPAN("campaign.compact");
       std::vector<io::CheckpointRecord> records;
       for (Index k = 0; k < num_samples; ++k) {
         const RowOutcome& out = outcomes[static_cast<std::size_t>(k)];

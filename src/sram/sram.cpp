@@ -110,16 +110,21 @@ SramWorkload::Metrics SramWorkload::evaluate_metrics(
   const Real wol_cell = Real{2.0} / (1 + g_len);    // cell composite W/L
   const Real wol_driver = Real{40.0} / (1 + g_len); // driver W/L
 
+  // Every threshold below is vth_base + local shift, the same left-to-right
+  // sum as p.vt0_nmos + g_vth + shift. The cells are one row-major block of
+  // dy (SramVariableMap::cell), bounds-checked once here.
+  const Real vth_base = p.vt0_nmos + g_vth;
+  const Index first_cell = vm.cell(0, 0);
+  RSM_CHECK(first_cell + vm.num_cells <= static_cast<Index>(dy.size()));
+  const Real* const cells = dy.data() + first_cell;
+
   // --- Supply droop from total array leakage. Every cell participates:
   // this is the mechanism that gives all 21k variables a (tiny) nonzero
   // delay sensitivity.
   Real i_leak_total = 0;
-  for (Index r = 0; r < config_.rows; ++r) {
-    for (Index c = 0; c < config_.cols; ++c) {
-      const Real vth_cell =
-          p.vt0_nmos + g_vth + at(vm.cell(r, c)) * config_.sigma_cell_vth;
-      i_leak_total += cell_leakage(kp_eff, wol_cell, vth_cell);
-    }
+  for (Index i = 0; i < vm.num_cells; ++i) {
+    const Real vth_cell = vth_base + cells[i] * config_.sigma_cell_vth;
+    i_leak_total += cell_leakage(kp_eff, wol_cell, vth_cell);
   }
   const Real vdd_eff = p.vdd + g_vdd -
                        config_.r_grid * (1 + g_res) * i_leak_total;
@@ -130,8 +135,7 @@ SramWorkload::Metrics SramWorkload::evaluate_metrics(
   Real t_wl = 0;
   const Real c_stage = config_.c_stage * (1 + g_cap);
   for (Index s = 0; s < config_.driver_stages; ++s) {
-    const Real vth_drv =
-        p.vt0_nmos + g_vth + at(vm.driver(s, 0)) * Real{0.008};
+    const Real vth_drv = vth_base + at(vm.driver(s, 0)) * Real{0.008};
     const Real kp_drv = kp_eff * (1 + at(vm.driver(s, 1)) * p.sigma_kp_local);
     const Real i_drive = sat_current(kp_drv, wol_driver, vdd_eff, vth_drv);
     RSM_CHECK_MSG(i_drive > 0, "driver stage " << s << " off");
@@ -144,7 +148,7 @@ SramWorkload::Metrics SramWorkload::evaluate_metrics(
   Real i_replica = 0;
   for (Index c = 0; c < config_.replica_cells; ++c) {
     const Real vth_rep =
-        p.vt0_nmos + g_vth + at(vm.replica(c, 0)) * config_.sigma_cell_vth;
+        vth_base + at(vm.replica(c, 0)) * config_.sigma_cell_vth;
     const Real kp_rep =
         kp_eff * (1 + at(vm.replica(c, 1)) * p.sigma_kp_local);
     i_replica += sat_current(kp_rep, wol_cell, vdd_eff, vth_rep);
@@ -156,14 +160,13 @@ SramWorkload::Metrics SramWorkload::evaluate_metrics(
 
   // --- Accessed cell develops the bit-line differential during t_fire.
   // Bit-line leakage of the unaccessed cells in the same column opposes it.
-  const Real vth_acc =
-      p.vt0_nmos + g_vth + at(vm.cell(0, 0)) * config_.sigma_cell_vth;
+  const Real vth_acc = vth_base + cells[0] * config_.sigma_cell_vth;
   const Real i_cell = sat_current(kp_eff, wol_cell, vdd_eff, vth_acc);
   RSM_CHECK_MSG(i_cell > 0, "accessed cell off (vth=" << vth_acc << ")");
   Real i_bl_leak = 0;
   for (Index r = 1; r < config_.rows; ++r) {
     const Real vth_cell =
-        p.vt0_nmos + g_vth + at(vm.cell(r, 0)) * config_.sigma_cell_vth;
+        vth_base + cells[r * config_.cols] * config_.sigma_cell_vth;
     i_bl_leak += cell_leakage(kp_eff, wol_cell, vth_cell);
   }
   const Real c_bl = config_.c_bitline * (1 + g_cap);

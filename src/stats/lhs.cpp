@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/trace.hpp"
+
 namespace rsm {
 
 Real inverse_normal_cdf(Real p) {
@@ -59,9 +61,12 @@ Matrix latin_hypercube_normal(Index num_samples, Index num_variables,
 }
 
 Matrix monte_carlo_normal(Index num_samples, Index num_variables, Rng& rng) {
+  RSM_TRACE_SPAN("stats.sample");
   RSM_CHECK(num_samples > 0 && num_variables > 0);
   Matrix samples = Matrix::for_overwrite(num_samples, num_variables);
-  for (Index k = 0; k < num_samples; ++k) rng.fill_normal(samples.row(k));
+  // The rows are contiguous, so the whole matrix is one fill: the same
+  // stream as filling it row by row.
+  rng.fill_normal({samples.data(), static_cast<std::size_t>(samples.size())});
   return samples;
 }
 

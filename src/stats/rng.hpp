@@ -1,19 +1,22 @@
 // Deterministic pseudo-random number generation.
 //
 // xoshiro256++ with splitmix64 seeding: fast, high-quality, and — unlike
-// std::normal_distribution — bit-identical across standard libraries, so
-// every test and benchmark in this repository is reproducible on any
-// platform.
+// std::normal_distribution — bit-identical across standard libraries and
+// across worker counts, so every test and benchmark in this repository is
+// reproducible on any platform.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <numbers>
 #include <span>
 #include <vector>
 
 #include "util/common.hpp"
 
 namespace rsm {
+
+class ThreadPool;
 
 /// xoshiro256++ engine. Satisfies UniformRandomBitGenerator.
 class Xoshiro256 {
@@ -30,13 +33,33 @@ class Xoshiro256 {
   /// Equivalent to 2^128 calls; used to derive independent parallel streams.
   void jump();
 
+  /// Equivalent to 2^17 calls: the distance between the starts of two
+  /// chunks of Rng::fill_normal (Rng::kChunkAttempts attempts of two calls
+  /// each).
+  void chunk_jump();
+
+  /// Equal states: both engines produce the same stream from here on.
+  friend bool operator==(const Xoshiro256&, const Xoshiro256&) = default;
+
  private:
-  std::array<std::uint64_t, 4> state_;
+  using State = std::array<std::uint64_t, 4>;
+  class StepMap;
+
+  State state_;
 };
 
 /// Random scalar/vector draws on top of Xoshiro256.
 class Rng {
  public:
+  /// fill_normal draws its pairs in chunks of this many Marsaglia-polar
+  /// attempts; chunk c starts 2 * kChunkAttempts * c engine calls ahead.
+  static constexpr std::uint64_t kChunkAttempts = std::uint64_t{1} << 16;
+
+  /// Accepted attempts a chunk yields on average (kChunkAttempts * pi / 4),
+  /// rounded down. A fill of fewer pairs than this is one chunk.
+  static constexpr std::uint64_t kChunkPairs =
+      static_cast<std::uint64_t>(kChunkAttempts * std::numbers::pi / 4);
+
   explicit Rng(std::uint64_t seed = 1) : engine_(seed) {}
 
   /// Uniform in [0, 1).
@@ -54,7 +77,14 @@ class Rng {
   /// Normal with given mean and standard deviation.
   [[nodiscard]] Real normal(Real mean, Real stddev);
 
-  /// Fills `out` with i.i.d. standard normals.
+  /// Fills `out` with i.i.d. standard normals: the values, engine state
+  /// and cached normal that out.size() calls of normal() would leave. A
+  /// fill of kChunkPairs pairs or more counts and then places its chunks
+  /// on `pool` and the calling thread; every bit is the same for any pool,
+  /// nullptr included (docs/algorithms.md, "Drawing the samples").
+  void fill_normal(std::span<Real> out, ThreadPool* pool);
+
+  /// fill_normal on shared_pool().
   void fill_normal(std::span<Real> out);
 
   /// Vector of n i.i.d. standard normals.

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "io/crc32.hpp"
 #include "stats/descriptive.hpp"
+#include "stats/lhs.hpp"
 #include "stats/rng.hpp"
 
 namespace rsm::sram {
@@ -176,6 +178,23 @@ TEST_F(SramTest, SaOffsetEatsMarginLinearly) {
 
 TEST_F(SramTest, WrongSampleSizeThrows) {
   EXPECT_THROW((void)workload_.evaluate(std::vector<Real>(3, 0.0)), Error);
+}
+
+TEST(SramPinnedBits, PaperSizeDelayAndMargin) {
+  // FNV-1a 64 over the bytes of each sample's delay, then its margin, for
+  // 64 samples at the paper's geometry (21 310 variables), as an earlier
+  // build printed them. A change to the model's arithmetic that moves a
+  // bit has to say so and re-pin.
+  const SramWorkload sram{SramConfig{}};
+  Rng rng(64);
+  const Matrix dy = monte_carlo_normal(64, sram.num_variables(), rng);
+  std::uint64_t hash = io::kFnvOffsetBasis;
+  for (Index r = 0; r < dy.rows(); ++r) {
+    const SramWorkload::Metrics m = sram.evaluate_metrics(dy.row(r));
+    hash = io::fnv1a64(&m.delay, sizeof(m.delay), hash);
+    hash = io::fnv1a64(&m.margin, sizeof(m.margin), hash);
+  }
+  EXPECT_EQ(hash, 0x1a0f8ddc8a034788ull);
 }
 
 TEST(Sram, GeometryScalesVariableCount) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "io/crc32.hpp"
 #include "stats/descriptive.hpp"
 
 namespace rsm {
@@ -76,6 +77,32 @@ TEST(Lhs, MonteCarloMoments) {
     const std::vector<Real> col = s.col(v);
     EXPECT_NEAR(mean(col), 0.0, 0.03);
     EXPECT_NEAR(variance(col), 1.0, 0.05);
+  }
+}
+
+/// FNV-1a 64 over a matrix's sample bytes, row after row.
+std::uint64_t sample_hash(const Matrix& m) {
+  return io::fnv1a64(m.data(), static_cast<std::size_t>(m.size()) *
+                                   sizeof(Real));
+}
+
+TEST(MonteCarloNormal, PinnedBits) {
+  // Hashes an earlier build printed when every draw was one serial stream
+  // of normal() calls, row after row. The draws now run on the shared
+  // pool, so they must hold for any RSM_THREADS.
+  {
+    Rng rng(1);
+    EXPECT_EQ(sample_hash(monte_carlo_normal(1000, 21310, rng)),
+              0x089428539a29b8eaull);
+  }
+  {
+    // A draw after one normal(): the cached normal pending at the call is
+    // its first value, and the draw leaves its last pair's second value
+    // cached.
+    Rng rng(42);
+    (void)rng.normal();
+    EXPECT_EQ(sample_hash(monte_carlo_normal(600, 630, rng)),
+              0xe3be4fdf0048727bull);
   }
 }
 

@@ -1,12 +1,17 @@
 #include "stats/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
 #include "stats/descriptive.hpp"
+#include "support/serial_normal.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsm {
 namespace {
@@ -113,6 +118,111 @@ TEST(Rng, SplitStreamsAreIndependentish) {
 TEST(Rng, NormalVectorSize) {
   Rng rng(13);
   EXPECT_EQ(rng.normal_vector(17).size(), 17u);
+}
+
+std::uint64_t bits(Real x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Rng::fill_normal of n values against the serial oracle, from `seed` or,
+/// with `pending`, after one normal() that leaves a cached normal: the same
+/// bytes, the same engine state, and the same next five normal() and
+/// uniform() draws (the first normal() is the cached one when a fill of odd
+/// length left it). It runs on no pool, pools of 1, 2 and 4 workers, and
+/// the shared pool (itself nullptr at RSM_THREADS=1).
+void expect_fill_matches_oracle(std::size_t n, bool pending,
+                                std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "n = " << n << ", pending = "
+                                    << pending << ", seed = " << seed);
+  SerialNormalStream oracle(seed);
+  if (pending) (void)oracle.normal();
+  std::vector<Real> expected(n);
+  oracle.fill_normal(expected);
+  std::vector<Real> actual(n);
+  ThreadPool one({.num_threads = 1});
+  ThreadPool two({.num_threads = 2});
+  ThreadPool four({.num_threads = 4});
+  const std::vector<ThreadPool*> pools = {nullptr, &one, &two, &four,
+                                          shared_pool()};
+  for (ThreadPool* pool : pools) {
+    SCOPED_TRACE(::testing::Message()
+                 << "workers = " << (pool ? pool->num_workers() : 0));
+    Rng rng(seed);
+    if (pending) (void)rng.normal();
+    std::fill(actual.begin(), actual.end(),
+              std::numeric_limits<Real>::quiet_NaN());
+    rng.fill_normal(actual, pool);
+    // An empty vector's data() may be null, which memcmp must not get.
+    EXPECT_TRUE(n == 0 || std::memcmp(actual.data(), expected.data(),
+                                      n * sizeof(Real)) == 0);
+    EXPECT_TRUE(rng.engine() == oracle.engine());
+    SerialNormalStream next = oracle;
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(bits(rng.normal()), bits(next.normal()));
+      EXPECT_EQ(bits(rng.uniform()), bits(next.uniform()));
+    }
+  }
+}
+
+TEST(FillNormal, ShortFillsMatchSerialOracle) {
+  for (const std::size_t n : {0, 1, 2, 3})
+    for (const bool pending : {false, true})
+      expect_fill_matches_oracle(n, pending, 21);
+}
+
+TEST(FillNormal, ChunkBoundaryFillsMatchSerialOracle) {
+  // One and two chunks' pairs, one pair either side, at even and odd
+  // lengths. Whether the counted chunks hold more pairs than the fill
+  // needs depends on the stream, so two seeds meet both cases.
+  for (const std::uint64_t chunks : {1, 2}) {
+    for (const std::uint64_t pairs :
+         {chunks * Rng::kChunkPairs - 1, chunks * Rng::kChunkPairs,
+          chunks * Rng::kChunkPairs + 1}) {
+      for (const std::size_t n : {2 * pairs - 1, 2 * pairs})
+        for (const bool pending : {false, true})
+          for (const std::uint64_t seed : {5, 6})
+            expect_fill_matches_oracle(n, pending, seed);
+    }
+  }
+}
+
+TEST(FillNormal, TableFourDrawMatchesSerialOracle) {
+  // K x N = 1 000 x 21 310, the paper's Table IV sample matrix.
+  for (const bool pending : {false, true})
+    expect_fill_matches_oracle(std::size_t{1000} * 21310, pending, 1);
+}
+
+TEST(Xoshiro, ChunkJumpIsTwoToTheSeventeenCalls) {
+  for (const std::uint64_t seed : {1ull, 2ull, 0x9e3779b97f4a7c15ull}) {
+    Xoshiro256 jumped(seed);
+    Xoshiro256 stepped(seed);
+    jumped.chunk_jump();
+    for (std::uint64_t i = 0; i < 2 * Rng::kChunkAttempts; ++i)
+      (void)stepped();
+    EXPECT_TRUE(jumped == stepped) << "seed " << seed;
+    EXPECT_EQ(jumped(), stepped());
+  }
+}
+
+TEST(Xoshiro, JumpIsPinned) {
+  // The first four outputs after jump(), as the published xoshiro256++
+  // jump polynomial gave them.
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t outputs[4];
+  };
+  const Pin pins[] = {
+      {1,
+       {0xdafd92f1adffc5b9ull, 0x89d5ed6828f5becfull, 0xc81a7b85673e9dacull,
+        0xe3ed98a07ef5a746ull}},
+      {20091,
+       {0x26108843a79827a0ull, 0xbb8f0a59473691cbull, 0x71cd4d1e733b255bull,
+        0x865e5dbd095440a7ull}},
+  };
+  for (const Pin& pin : pins) {
+    Xoshiro256 engine(pin.seed);
+    engine.jump();
+    for (const std::uint64_t expected : pin.outputs)
+      EXPECT_EQ(engine(), expected) << "seed " << pin.seed;
+  }
 }
 
 TEST(Xoshiro, KnownNonDegenerate) {
